@@ -94,9 +94,10 @@ struct CliOptions {
   /// job runs its pipeline independently. Results are bit-identical either
   /// way; the knob exists to measure the difference and to pin parity.
   sim::BatchMode batch_mode = sim::BatchMode::kBatched;
-  /// GeometryCache retention bound (--cache-capacity N); 0 disables
-  /// retention so every plane group rebuilds its buffers cold.
-  std::size_t cache_capacity = localize::GeometryCache::kDefaultCapacity;
+  /// Retention bound of the trajectory, grid and forward-plane caches
+  /// (--cache-capacity N); 0 disables retention so every plane group
+  /// rebuilds its buffers cold.
+  std::size_t cache_capacity = sim::BatchConfig{}.cache_capacity;
   /// `--set key=value` overrides, in order (scenario_runner).
   std::vector<std::pair<std::string, std::string>> overrides;
 

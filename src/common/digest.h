@@ -1,8 +1,8 @@
 // Content digests for batching and caching: a splitmix64-chained hash over
 // raw bytes or double bit patterns. Used to key the batch runner's scenario
-// groups, the localize-layer GeometryCache (trajectory/grid digests), and
-// the batched localize task dedup. Digests are *hints*, never proofs: every
-// consumer verifies a digest match with a full bitwise compare before
+// groups and plane groups, the batched localize task dedup, and every
+// ContentCache (common/content_cache.h). Digests are *hints*, never proofs:
+// every consumer verifies a digest match with a full bitwise compare before
 // sharing state, so a collision can cost a cache slot but never an answer.
 #pragma once
 

@@ -19,18 +19,18 @@
 //     in one SIMD pass.
 //
 // Planes are shared across every tag in a mission, and — via the
-// digest-keyed ForwardPlaneCache below, same discipline as the localize
-// GeometryCache — across missions in a batch that fly the same flight
-// through the same system. All RNG stays in the per-point collect loop
-// (system.cpp); everything here is RNG-free, so draw order is untouched.
+// process-wide content cache below — across missions in a batch that fly
+// the same flight through the same system. All RNG stays in the per-point
+// collect loop (system.cpp); everything here is RNG-free, so draw order is
+// untouched.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
+#include <string>
 #include <vector>
 
+#include "common/content_cache.h"
 #include "common/math_util.h"
 #include "core/forward_kernel.h"
 #include "core/system.h"
@@ -90,58 +90,15 @@ std::vector<SynthChannels> synthesize_forward_channels(
     const std::vector<Vec3>& tag_positions,
     const ForwardKernelVariant* variant = nullptr);
 
-/// Process-wide, thread-safe, digest-keyed plane cache — the GeometryCache
-/// pattern: a splitmix64 digest over the full bit-pattern key (reader
-/// position, every config field the plane depends on, obstacle geometry and
-/// materials, actual waypoint positions) selects candidates, every hit is
-/// verified by a bitwise key compare before sharing, FIFO eviction, and
-/// capacity 0 disables retention (every lookup builds cold). Entries are
-/// immutable shared_ptr<const ForwardPlane>, safe to hold across worker
-/// threads. Lookups (including the build on a miss) serialize on one mutex,
-/// exactly like GeometryCache: a digest can never hand out an unverified
-/// plane, and each distinct key misses exactly once per cold run at any
-/// thread count.
-class ForwardPlaneCache {
- public:
-  static constexpr std::size_t kDefaultCapacity = 64;
+/// ContentCache key for (system, flight): the bit patterns of everything a
+/// plane's contents depend on — reader position, every config field the
+/// plane reads, obstacle geometry and materials, actual waypoint positions.
+std::string plane_key(const RflySystem& system,
+                      const std::vector<drone::FlownPoint>& flight);
 
-  explicit ForwardPlaneCache(std::size_t capacity = kDefaultCapacity);
-
-  /// The plane for (system, flight): a verified cached entry, or a fresh
-  /// build (retained FIFO when capacity allows).
-  std::shared_ptr<const ForwardPlane> plane(
-      const RflySystem& system, const std::vector<drone::FlownPoint>& flight);
-
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::size_t planes = 0;  // entries currently retained
-  };
-  Stats stats() const;
-  void reset_stats();
-  void clear();
-  void set_capacity(std::size_t capacity);
-  std::size_t capacity() const;
-
- private:
-  struct Entry {
-    std::uint64_t digest = 0;
-    std::vector<double> key;  // full bit-pattern key, verified on every hit
-    std::shared_ptr<const ForwardPlane> value;
-  };
-
-  mutable std::mutex mu_;
-  std::vector<Entry> entries_;  // insertion order = eviction order (FIFO)
-  std::size_t capacity_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
-};
-
-/// The process-wide cache the pipeline's measure stage uses (mirrors
-/// global_geometry_cache); the batch runner applies its retention bound to
-/// this cache too and reports hit/miss deltas in BatchRunInfo.
-ForwardPlaneCache& global_forward_plane_cache();
+/// The process-wide plane cache the pipeline's measure stage uses (obs
+/// prefix `forward_plane_cache`); the batch runner applies its retention
+/// bound to it and reports hit/miss deltas in BatchRunInfo.
+ContentCache<ForwardPlane>& global_forward_plane_cache();
 
 }  // namespace rfly::core

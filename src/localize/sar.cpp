@@ -249,6 +249,29 @@ SharedGrid SharedGrid::from(const GridSpec& grid) {
   return out;
 }
 
+std::string trajectory_key(const std::vector<channel::Vec3>& positions) {
+  static_assert(sizeof(channel::Vec3) == 3 * sizeof(double));
+  return {reinterpret_cast<const char*>(positions.data()),
+          positions.size() * sizeof(channel::Vec3)};
+}
+
+std::string grid_key(const GridSpec& spec) {
+  const double fields[] = {spec.x_min, spec.x_max, spec.y_min, spec.y_max,
+                           spec.resolution_m};
+  return {reinterpret_cast<const char*>(fields), sizeof fields};
+}
+
+ContentCache<SharedTrajectory>& global_trajectory_cache() {
+  static ContentCache<SharedTrajectory> cache("geometry_cache",
+                                              kDefaultCacheCapacity);
+  return cache;
+}
+
+ContentCache<SharedGrid>& global_grid_cache() {
+  static ContentCache<SharedGrid> cache("geometry_cache", kDefaultCacheCapacity);
+  return cache;
+}
+
 void sar_heatmap_multi(const SharedTrajectory& trajectory, const SharedGrid& grid,
                        double freq_hz, double z_plane, const MultiTagSlot* slots,
                        std::size_t count, unsigned threads, SarKernel kernel) {

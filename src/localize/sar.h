@@ -12,8 +12,10 @@
 #pragma once
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
+#include "common/content_cache.h"
 #include "localize/disentangle.h"
 #include "localize/sar_kernel.h"
 
@@ -77,8 +79,8 @@ Heatmap sar_heatmap(const DisentangledSet& set, const GridSpec& grid, double fre
 /// Trajectory positions as shared SoA arrays — the cacheable half of
 /// SarGeometry (channel weights are per tag and per mission; positions
 /// repeat whenever the same flight serves many tags or many identical
-/// missions). Built once per distinct trajectory by the GeometryCache and
-/// shared read-only across a batch.
+/// missions). Built once per distinct trajectory through
+/// global_trajectory_cache() and shared read-only across a batch.
 struct SharedTrajectory {
   std::vector<double> px, py, pz;
   std::size_t size() const { return px.size(); }
@@ -94,6 +96,15 @@ struct SharedGrid {
   std::vector<double> xs, ys;
   static SharedGrid from(const GridSpec& grid);
 };
+
+/// ContentCache keys: the waypoints' and the grid parameters' bit patterns.
+std::string trajectory_key(const std::vector<channel::Vec3>& positions);
+std::string grid_key(const GridSpec& spec);
+
+/// Process-wide caches the batch runner serves its plane groups' shared
+/// buffers from. Both mirror to obs as `geometry_cache.*`.
+ContentCache<SharedTrajectory>& global_trajectory_cache();
+ContentCache<SharedGrid>& global_grid_cache();
 
 /// One tag's slice of a multi-tag sweep: channel weights over the shared
 /// trajectory (length = trajectory size) and the output plane to fill

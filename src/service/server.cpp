@@ -24,6 +24,13 @@ double now_seconds() {
   return std::chrono::duration<double>(Clock::now().time_since_epoch()).count();
 }
 
+/// Result-cache key: the seed's bytes, then the canonical scenario text.
+std::string result_key(const std::string& canonical, std::uint64_t seed) {
+  std::string key(reinterpret_cast<const char*>(&seed), sizeof seed);
+  key += canonical;
+  return key;
+}
+
 // service.* telemetry. Counters mirror the ServiceStats the STATS command
 // returns; the gauges track instantaneous queue state.
 obs::Counter& submitted_counter() {
@@ -44,14 +51,6 @@ obs::Counter& cancelled_counter() {
 }
 obs::Counter& simulated_counter() {
   static obs::Counter& c = obs::counter("service.simulated");
-  return c;
-}
-obs::Counter& cache_hit_counter() {
-  static obs::Counter& c = obs::counter("service.cache.hits");
-  return c;
-}
-obs::Counter& cache_miss_counter() {
-  static obs::Counter& c = obs::counter("service.cache.misses");
   return c;
 }
 obs::Gauge& queue_depth_gauge() {
@@ -76,7 +75,7 @@ obs::Histogram& queue_wait_hist() {
 }  // namespace
 
 MissionService::MissionService(ServiceConfig config)
-    : config_(config), cache_(config.cache_capacity) {
+    : config_(config), cache_("service.cache", config.cache_capacity) {
   if (config_.workers == 0) config_.workers = 1;
 }
 
@@ -243,10 +242,8 @@ bool MissionService::handle_submit(int fd, const std::string& payload) {
 
   // Content-addressed fast path: a verified (canonical text, seed) hit is
   // served the stored bytes without touching the queue — repeats cost a
-  // map lookup, never a simulation and never a queue slot.
-  std::string cached_bytes;
-  if (cache_.lookup(canonical, seed, cached_bytes)) {
-    cache_hit_counter().inc();
+  // cache lookup, never a simulation and never a queue slot.
+  if (const auto cached = cache_.find(result_key(canonical, seed))) {
     std::uint64_t id = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -257,7 +254,7 @@ bool MissionService::handle_submit(int fd, const std::string& payload) {
       job.seed = seed;
       job.state = JobState::kDone;
       job.cached = true;
-      job.result_bytes = std::move(cached_bytes);
+      job.result_bytes = *cached;
       job.submit_seconds = now_seconds();
       jobs_.emplace(id, std::move(job));
       ++submitted_;
@@ -271,7 +268,6 @@ bool MissionService::handle_submit(int fd, const std::string& payload) {
     w.u8(1);  // cached
     return send_frame(fd, MsgType::kAck, w.take());
   }
-  cache_miss_counter().inc();
 
   std::uint64_t id = 0;
   std::size_t depth = 0;
@@ -450,8 +446,14 @@ bool MissionService::handle_shutdown(int fd, const std::string& payload) {
     send_error(fd, StatusCode::kParseError, "malformed SHUTDOWN payload");
     return false;
   }
-  // ACK first: once request_shutdown runs, this very connection is torn
-  // down and the reply would never leave the machine.
+  // Close intake before the ACK, so every SUBMIT a client sends after
+  // seeing it is rejected. Wake the waiters only after the ACK: once
+  // request_shutdown runs, this very connection is torn down and the reply
+  // would never leave the machine.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    draining_ = true;
+  }
   const bool sent = send_frame(fd, MsgType::kAck, {});
   request_shutdown(drain != 0);
   return sent;
@@ -484,10 +486,7 @@ void MissionService::worker_loop() {
     const double start = now_seconds();
     sim::BatchRunInfo info;
     auto results = sim::run_batch(
-        {batch_job},
-        {config_.job_threads, sim::BatchMode::kBatched,
-         localize::GeometryCache::kDefaultCapacity},
-        &info);
+        {batch_job}, {config_.job_threads, sim::BatchMode::kBatched}, &info);
     WireWriter w;
     encode_batch_result(w, results.front());
     std::string bytes = w.take();
@@ -498,7 +497,7 @@ void MissionService::worker_loop() {
     // Store before signalling. The cache takes a copy of the exact bytes
     // every later identical SUBMIT will be served — warm results are
     // bit-identical to this cold one by construction.
-    cache_.insert(canonical, batch_job.seed, bytes);
+    cache_.insert(result_key(canonical, batch_job.seed), bytes);
 
     lock.lock();
     Job& done = jobs_.at(id);
@@ -516,7 +515,6 @@ void MissionService::worker_loop() {
 void MissionService::request_shutdown(bool drain) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (draining_ && drain) return;  // idempotent
     draining_ = true;
     if (!drain) {
       // Abandon the backlog: queued jobs become kCancelled so RESULT
@@ -575,7 +573,7 @@ ServiceStats MissionService::stats_locked() const {
   stats.completed = completed_;
   stats.cancelled = cancelled_;
   stats.simulated = simulated_;
-  const ResultCache::Stats cache = cache_.stats();
+  const auto cache = cache_.stats();
   stats.cache_hits = cache.hits;
   stats.cache_misses = cache.misses;
   stats.cache_entries = cache.entries;

@@ -3,7 +3,7 @@
 // (canonical scenario text + seed) over the versioned wire protocol
 // (wire.h), jobs run on an async bounded queue layered over the shared
 // deterministic thread pool via run_batch, and repeated submissions are
-// served from the content-addressed ResultCache without re-simulating.
+// served from a content-addressed result cache without re-simulating.
 //
 // Contracts (pinned by tests/test_service.cpp):
 //   - Determinism: a result served over the socket is bit-identical (all
@@ -29,7 +29,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "service/result_cache.h"
+#include "common/content_cache.h"
 #include "service/wire.h"
 #include "sim/batch.h"
 
@@ -49,9 +49,9 @@ struct ServiceConfig {
   /// Jobs allowed to wait in the queue; a SUBMIT beyond this is rejected
   /// with kUnavailable (backpressure), never blocked.
   std::size_t queue_capacity = 64;
-  /// ResultCache retention (distinct (scenario, seed) results); 0 disables
+  /// Result cache retention (distinct (scenario, seed) results); 0 disables
   /// result caching so every submission simulates.
-  std::size_t cache_capacity = ResultCache::kDefaultCapacity;
+  std::size_t cache_capacity = 256;
   /// Retry hint attached to backpressure rejections.
   std::uint32_t retry_after_ms = 50;
 };
@@ -91,7 +91,7 @@ class MissionService {
     std::string canonical_text;  // serialize(scenario) — the cache key
     std::uint64_t seed = 0;
     JobState state = JobState::kQueued;
-    bool cached = false;         // served from ResultCache, never simulated
+    bool cached = false;         // served from cache_, never simulated
     std::string result_bytes;    // encoded BatchResult once kDone
     double submit_seconds = 0.0; // monotonic submit time (queue-wait probe)
   };
@@ -118,7 +118,11 @@ class MissionService {
   ServiceStats stats_locked() const;  // requires mu_
 
   ServiceConfig config_;
-  ResultCache cache_;
+  /// Wire-encoded BatchResults keyed by result_key(canonical text, seed).
+  /// A mission outcome is a pure function of that pair (the repo-wide
+  /// determinism contract), so a hit is served the first run's exact bytes,
+  /// stage timings included. Obs prefix `service.cache`.
+  ContentCache<std::string> cache_;
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;   // workers: queue or drain state changed

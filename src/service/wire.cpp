@@ -123,6 +123,9 @@ bool decode_status(WireReader& r, Status& status) {
   std::uint32_t frames = 0;
   if (!r.u8(code) || !r.str(message) || !r.u32(frames)) return false;
   if (code > kMaxStatusCode) return false;
+  // Each frame carries at least its u32 length prefix: a count the payload
+  // cannot hold is rejected before it sizes an allocation.
+  if (frames > r.remaining() / 4) return false;
   std::vector<std::string> context(frames);
   for (auto& frame : context) {
     if (!r.str(frame)) return false;

@@ -48,6 +48,18 @@ obs::Gauge& arena_high_water() {
   return g;
 }
 
+/// Trajectory + grid cache lookups together: BatchRunInfo's cache figures.
+struct GeometryTally {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+};
+
+GeometryTally geometry_tally() {
+  const auto t = localize::global_trajectory_cache().stats();
+  const auto g = localize::global_grid_cache().stats();
+  return {t.hits + g.hits, t.misses + g.misses};
+}
+
 bool bits_eq(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
@@ -207,8 +219,7 @@ struct PlaneGroup {
 std::uint64_t plane_digest(const TaskEntry& entry,
                            const localize::GridSpec& scan_grid) {
   std::uint64_t state = digest_word(0x706c'616e'6567'7270ull, 0);  // "planegrp"
-  state = digest_word(
-      state, localize::GeometryCache::digest_waypoints(entry.set.positions));
+  state = digest_string(state, localize::trajectory_key(entry.set.positions));
   state = digest_grid_spec(state, scan_grid);
   state = digest_double(state, entry.config.freq_hz);
   state = digest_double(state, entry.config.z_plane_m);
@@ -292,13 +303,18 @@ void run_deferred_plane(std::deque<TaskEntry>& entries,
   }
   if (info) info->plane_groups = groups.size();
 
-  localize::GeometryCache& cache = localize::global_geometry_cache();
+  auto& trajectories = localize::global_trajectory_cache();
+  auto& grids = localize::global_grid_cache();
   Arena arena;
   for (const PlaneGroup& group : groups) {
     const TaskEntry& rep = entries[group.members.front()];
     const localize::GridSpec scan_grid = localize::localize_scan_grid(rep.config);
-    const auto trajectory = cache.trajectory(rep.set.positions);
-    const auto shared_grid = cache.grid(scan_grid);
+    const auto trajectory = trajectories.get_or_build(
+        localize::trajectory_key(rep.set.positions),
+        [&] { return localize::SharedTrajectory::from(rep.set.positions); });
+    const auto shared_grid =
+        grids.get_or_build(localize::grid_key(scan_grid),
+                           [&] { return localize::SharedGrid::from(scan_grid); });
     const std::size_t L = trajectory->size();
     const std::size_t cells = scan_grid.nx() * scan_grid.ny();
     const std::size_t count = group.members.size();
@@ -382,17 +398,17 @@ std::vector<BatchResult> run_batch(const std::vector<BatchJob>& jobs,
   const auto batch_start = Clock::now();
   const bool batched = config.mode == BatchMode::kBatched;
 
-  localize::GeometryCache& cache = localize::global_geometry_cache();
-  localize::GeometryCache::Stats cache_before;
+  GeometryTally geometry_before;
   if (batched) {
-    cache.set_capacity(config.cache_capacity);
-    cache_before = cache.stats();
+    localize::global_trajectory_cache().set_capacity(config.cache_capacity);
+    localize::global_grid_cache().set_capacity(config.cache_capacity);
+    geometry_before = geometry_tally();
   }
   // The measure plane cache serves the pipeline in both modes; the batched
   // mode additionally applies this run's retention bound to it.
-  core::ForwardPlaneCache& forward_cache = core::global_forward_plane_cache();
+  auto& forward_cache = core::global_forward_plane_cache();
   if (batched) forward_cache.set_capacity(config.cache_capacity);
-  const core::ForwardPlaneCache::Stats forward_before = forward_cache.stats();
+  const auto forward_before = forward_cache.stats();
 
   // --- Phase 0 (serial): hoist scenario parsing. Each distinct scenario
   // text is validated and materialized once; seed sweeps and repeated-job
@@ -492,9 +508,9 @@ std::vector<BatchResult> run_batch(const std::vector<BatchJob>& jobs,
     info->deferred_tasks = registry.deferred_total();
     info->distinct_tasks = registry.entries().size();
     if (batched) {
-      const auto cache_after = cache.stats();
-      info->cache_hits = cache_after.hits - cache_before.hits;
-      info->cache_misses = cache_after.misses - cache_before.misses;
+      const GeometryTally geometry_after = geometry_tally();
+      info->cache_hits = geometry_after.hits - geometry_before.hits;
+      info->cache_misses = geometry_after.misses - geometry_before.misses;
     }
     const auto forward_after = forward_cache.stats();
     info->forward_plane_hits = forward_after.hits - forward_before.hits;

@@ -17,7 +17,7 @@
 //     groups tasks that share a trajectory/grid/frequency plane, and sweeps
 //     each group's SAR heatmaps in one blocked multi-tag pass over
 //     arena-backed planes, with trajectory/grid buffers served from the
-//     digest-keyed GeometryCache. Behaviorally invisible: every BatchResult
+//     process-wide content caches. Behaviorally invisible: every BatchResult
 //     is bit-identical to the per-mission mode at any thread count,
 //     warm or cold cache (pinned by tests/test_batch_parity.cpp).
 #pragma once
@@ -25,7 +25,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "localize/geometry_cache.h"
+#include "common/content_cache.h"
 #include "sim/pipeline.h"
 #include "sim/scenario.h"
 
@@ -61,9 +61,10 @@ struct BatchConfig {
   /// (First member — callers aggregate-initialize as BatchConfig{threads}.)
   unsigned threads = 0;
   BatchMode mode = BatchMode::kBatched;
-  /// Retention bound applied to the process-wide GeometryCache for this
-  /// run (entries per buffer kind). 0 disables retention entirely.
-  std::size_t cache_capacity = localize::GeometryCache::kDefaultCapacity;
+  /// Retention bound applied for this run to the process-wide trajectory,
+  /// grid and forward-plane caches (entries per value kind). 0 disables
+  /// retention entirely.
+  std::size_t cache_capacity = kDefaultCacheCapacity;
 };
 
 /// Instrumentation from one batch run — the sharing the batched mode found
@@ -71,10 +72,11 @@ struct BatchConfig {
 /// results.
 struct BatchRunInfo {
   double wall_seconds = 0.0;
-  /// GeometryCache hit/miss deltas over this run (zero in kPerMission).
+  /// Trajectory + grid cache hit/miss deltas over this run (zero in
+  /// kPerMission).
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  /// ForwardPlaneCache hit/miss deltas over this run. Unlike the geometry
+  /// Forward-plane cache hit/miss deltas over this run. Unlike the geometry
   /// figures these are populated in BOTH modes: the pipeline's measure
   /// stage consults the plane cache per mission too (the batched mode only
   /// adds the retention bound and the cross-mission sharing).

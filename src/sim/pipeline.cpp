@@ -241,7 +241,9 @@ Expected<MissionRun> run_mission_pipeline(const core::ScanMissionConfig& config,
   if (plane_mode != core::MeasurePlane::kOff && !flight.empty() &&
       !tags.empty()) {
     StageTimer timer(run.trace, Stage::kMeasure);
-    plane = core::global_forward_plane_cache().plane(system, flight);
+    plane = core::global_forward_plane_cache().get_or_build(
+        core::plane_key(system, flight),
+        [&] { return core::ForwardPlane::build(system, flight); });
     if (plane_mode == core::MeasurePlane::kFast) {
       std::vector<Vec3> positions;
       positions.reserve(tags.size());

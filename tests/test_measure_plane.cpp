@@ -11,10 +11,10 @@
 //   - Forward kernels: every compiled ISA variant agrees on readability
 //     masks and synthesized channels; fast synthesis tracks the exact
 //     channels to tight relative tolerance with identical readable sets.
-//   - ForwardPlaneCache: verified hits, FIFO eviction, capacity 0,
-//     config-sensitive keys, deterministic stats, a concurrent hammer (the
-//     TSAN surface), and the measure.plane.channel_evals counter contract
-//     (one eval per waypoint per build, none on a hit).
+//   - Plane cache: config-sensitive keys and the
+//     measure.plane.channel_evals counter contract (one eval per waypoint
+//     per build, none on a hit). The cache contract itself is pinned for
+//     every value kind by tests/test_content_cache.cpp.
 //   - Scenario knob `measure.plane`: names, parse, auto resolution,
 //     serialize/parse round-trip, override.
 //   - The full-mission parity matrix: measure.plane=exact reports are
@@ -29,7 +29,6 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "channel/environment.h"
@@ -41,7 +40,6 @@
 #include "core/system.h"
 #include "drone/flight.h"
 #include "drone/trajectory.h"
-#include "localize/geometry_cache.h"
 #include "localize/measurement.h"
 #include "obs/metrics.h"
 #include "sim/batch.h"
@@ -327,34 +325,7 @@ TEST(ForwardKernels, EveryVariantAgreesOnMasksAndChannels) {
   }
 }
 
-// --- ForwardPlaneCache ---------------------------------------------------
-
-TEST(ForwardPlaneCache, HitsAreVerifiedAndShared) {
-  const auto fa = make_fixture(10);
-  const auto fb = make_fixture(11);
-  core::ForwardPlaneCache cache(4);
-
-  const auto first = cache.plane(fa.system, fa.flight);
-  const auto again = cache.plane(fa.system, fa.flight);
-  EXPECT_EQ(first.get(), again.get());  // shared, not rebuilt
-
-  const auto other = cache.plane(fb.system, fb.flight);
-  EXPECT_NE(other.get(), first.get());
-
-  const auto s = cache.stats();
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 2u);
-  EXPECT_EQ(s.planes, 2u);
-
-  // The shared plane is a fresh build, bit for bit.
-  const auto fresh = core::ForwardPlane::build(fa.system, fa.flight);
-  ASSERT_EQ(first->size(), fresh.size());
-  for (std::size_t i = 0; i < fresh.size(); ++i) {
-    EXPECT_EQ(first->h1[i], fresh.h1[i]) << i;
-    EXPECT_EQ(first->relay_tx_dbm[i], fresh.relay_tx_dbm[i]) << i;
-    EXPECT_EQ(first->embedded[i], fresh.embedded[i]) << i;
-  }
-}
+// --- Plane cache key and build accounting ---------------------------------
 
 TEST(ForwardPlaneCache, KeyCoversSystemConfig) {
   // Same flight, one changed config field the plane depends on: must miss
@@ -367,74 +338,16 @@ TEST(ForwardPlaneCache, KeyCoversSystemConfig) {
   tweaked.relay_downlink_p1db_dbm += 3.0;
   core::RflySystem other(tweaked, channel::warehouse_environment(12.0, 10.0, 1),
                          {1.0, 1.0, 1.0});
-  core::ForwardPlaneCache cache(4);
-  const auto a = cache.plane(f.system, f.flight);
-  const auto b = cache.plane(other, f.flight);
+  ContentCache<core::ForwardPlane> cache("test.plane_cache", 4);
+  const auto a = cache.get_or_build(core::plane_key(f.system, f.flight), [&] {
+    return core::ForwardPlane::build(f.system, f.flight);
+  });
+  const auto b = cache.get_or_build(core::plane_key(other, f.flight), [&] {
+    return core::ForwardPlane::build(other, f.flight);
+  });
   EXPECT_NE(a.get(), b.get());
   EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_NE(a->relay_tx_dbm[0], b->relay_tx_dbm[0]);
-}
-
-TEST(ForwardPlaneCache, CapacityZeroDisablesRetention) {
-  const auto f = make_fixture(13);
-  core::ForwardPlaneCache cache(0);
-  const auto first = cache.plane(f.system, f.flight);
-  const auto again = cache.plane(f.system, f.flight);
-  EXPECT_NE(first.get(), again.get());  // both fresh, both correct
-  EXPECT_EQ(first->h1[0], again->h1[0]);
-  const auto s = cache.stats();
-  EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.misses, 2u);
-  EXPECT_EQ(s.planes, 0u);
-}
-
-TEST(ForwardPlaneCache, FifoEvictionIsDeterministic) {
-  const auto fa = make_fixture(14);
-  const auto fb = make_fixture(15);
-  core::ForwardPlaneCache cache(1);
-  cache.plane(fa.system, fa.flight);  // retained
-  cache.plane(fb.system, fb.flight);  // evicts a (FIFO, capacity 1)
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.stats().planes, 1u);
-  cache.plane(fa.system, fa.flight);  // miss again, rebuilt
-  const auto s = cache.stats();
-  EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.misses, 3u);
-  EXPECT_EQ(s.evictions, 2u);
-}
-
-TEST(ForwardPlaneCache, ConcurrentHammerStaysCorrect) {
-  // Racing lookups over few keys with eviction churn: the mutex keeps the
-  // shelf coherent (TSAN verifies), and every plane handed out matches a
-  // fresh build bitwise even after its entry was evicted (shared_ptr keeps
-  // it alive).
-  std::vector<Fixture> fixtures;
-  for (std::uint64_t k = 0; k < 4; ++k) fixtures.push_back(make_fixture(20 + k));
-  std::vector<core::ForwardPlane> fresh;
-  for (const auto& f : fixtures)
-    fresh.push_back(core::ForwardPlane::build(f.system, f.flight));
-
-  core::ForwardPlaneCache cache(2);
-  std::vector<std::thread> workers;
-  std::vector<int> failures(8, 0);
-  for (int t = 0; t < 8; ++t) {
-    workers.emplace_back([&, t] {
-      for (int i = 0; i < 50; ++i) {
-        const std::size_t k = static_cast<std::size_t>((t + i) % 4);
-        const auto plane = cache.plane(fixtures[k].system, fixtures[k].flight);
-        for (std::size_t j = 0; j < plane->size(); ++j) {
-          if (plane->h1[j] != fresh[k].h1[j] ||
-              plane->relay_tx_mw[j] != fresh[k].relay_tx_mw[j]) {
-            ++failures[static_cast<std::size_t>(t)];
-          }
-        }
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  for (int t = 0; t < 8; ++t) EXPECT_EQ(failures[static_cast<std::size_t>(t)], 0) << t;
-  const auto s = cache.stats();
-  EXPECT_EQ(s.hits + s.misses, 8u * 50u);
 }
 
 TEST(ForwardPlaneCache, ChannelEvalsCountOncePerBuild) {
@@ -445,10 +358,14 @@ TEST(ForwardPlaneCache, ChannelEvalsCountOncePerBuild) {
   const std::uint64_t evals_before = evals.value();
   const std::uint64_t builds_before = builds.value();
 
-  core::ForwardPlaneCache cache(4);
-  cache.plane(f.system, f.flight);  // build: one eval per waypoint
-  cache.plane(f.system, f.flight);  // hit: no evals
-  cache.plane(f.system, f.flight);  // hit: no evals
+  ContentCache<core::ForwardPlane> cache("test.plane_cache", 4);
+  const auto lookup = [&] {
+    cache.get_or_build(core::plane_key(f.system, f.flight),
+                       [&] { return core::ForwardPlane::build(f.system, f.flight); });
+  };
+  lookup();  // build: one eval per waypoint
+  lookup();  // hit: no evals
+  lookup();  // hit: no evals
   EXPECT_EQ(evals.value() - evals_before, f.flight.size());
   EXPECT_EQ(builds.value() - builds_before, 1u);
 }
@@ -547,7 +464,8 @@ sim::Scenario matrix_scenario() {
 }
 
 void clear_measure_caches() {
-  localize::global_geometry_cache().clear();
+  localize::global_trajectory_cache().clear();
+  localize::global_grid_cache().clear();
   core::global_forward_plane_cache().clear();
 }
 
@@ -621,10 +539,9 @@ TEST(ExactPlaneMatrix, WarmCacheIsBitIdenticalAndDeterministic) {
   expect_results_identical(cold, per_mission);
 
   // Restore the default retention bounds for whatever runs next.
-  core::global_forward_plane_cache().set_capacity(
-      core::ForwardPlaneCache::kDefaultCapacity);
-  localize::global_geometry_cache().set_capacity(
-      localize::GeometryCache::kDefaultCapacity);
+  core::global_forward_plane_cache().set_capacity(kDefaultCacheCapacity);
+  localize::global_trajectory_cache().set_capacity(kDefaultCacheCapacity);
+  localize::global_grid_cache().set_capacity(kDefaultCacheCapacity);
 }
 
 TEST(FastPlaneMission, TracksExactReportClosely) {

@@ -6,9 +6,8 @@
 //     truncated headers, bad magic, unknown version, unknown type, and a
 //     multi-GiB length field are all typed rejections.
 //   - Codecs: Status/error/stats/BatchResult round-trip bit-exactly
-//     (doubles travel as IEEE-754 bit patterns, NaN payloads included).
-//   - ResultCache: verified hits return the exact stored bytes, FIFO
-//     eviction is deterministic, capacity 0 disables retention.
+//     (doubles travel as IEEE-754 bit patterns, NaN payloads included); a
+//     hostile context-frame count is rejected before allocation.
 //   - Integration over a loopback socket: a mission submitted to a live
 //     daemon returns results bit-identical to direct run_batch at thread
 //     counts 1 and 8, cold and warm cache; a repeated submission is served
@@ -29,7 +28,6 @@
 #include <vector>
 
 #include "service/client.h"
-#include "service/result_cache.h"
 #include "service/server.h"
 #include "service/socket_io.h"
 #include "service/wire.h"
@@ -311,67 +309,23 @@ TEST(WireCodec, NonFiniteDoublesSurviveByBitPattern) {
   EXPECT_TRUE(std::signbit(decoded.run.aperture_coverage));
 }
 
-// --- ResultCache ------------------------------------------------------------
-
-TEST(ResultCacheTest, VerifiedHitReturnsExactBytes) {
-  ResultCache cache(4);
-  const std::string bytes = std::string("\x00\x01payload\xFF", 10);
-  cache.insert("scenario-a", 7, bytes);
-
-  std::string out;
-  EXPECT_FALSE(cache.lookup("scenario-a", 8, out));   // same text, other seed
-  EXPECT_FALSE(cache.lookup("scenario-b", 7, out));   // other text, same seed
-  ASSERT_TRUE(cache.lookup("scenario-a", 7, out));
-  EXPECT_EQ(out, bytes);
-
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.entries, 1u);
-}
-
-TEST(ResultCacheTest, FifoEvictionIsDeterministic) {
-  ResultCache cache(2);
-  cache.insert("a", 1, "ra");
-  cache.insert("b", 1, "rb");
-  cache.insert("c", 1, "rc");  // evicts "a" (oldest)
-
-  std::string out;
-  EXPECT_FALSE(cache.lookup("a", 1, out));
-  EXPECT_TRUE(cache.lookup("b", 1, out));
-  EXPECT_TRUE(cache.lookup("c", 1, out));
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.stats().entries, 2u);
-
-  cache.insert("d", 1, "rd");  // evicts "b"
-  EXPECT_FALSE(cache.lookup("b", 1, out));
-  EXPECT_TRUE(cache.lookup("c", 1, out));
-  EXPECT_TRUE(cache.lookup("d", 1, out));
-}
-
-TEST(ResultCacheTest, CapacityZeroDisablesRetention) {
-  ResultCache cache(0);
-  cache.insert("a", 1, "ra");
-  std::string out;
-  EXPECT_FALSE(cache.lookup("a", 1, out));
-  EXPECT_EQ(cache.stats().entries, 0u);
-}
-
-TEST(ResultCacheTest, DuplicateInsertKeepsFirstAndClearDropsAll) {
-  ResultCache cache(4);
-  cache.insert("a", 1, "first");
-  cache.insert("a", 1, "second");  // racing executor: first wins
-  std::string out;
-  ASSERT_TRUE(cache.lookup("a", 1, out));
-  EXPECT_EQ(out, "first");
-  EXPECT_EQ(cache.stats().entries, 1u);
-
-  cache.clear();
-  EXPECT_FALSE(cache.lookup("a", 1, out));
-  EXPECT_EQ(cache.stats().entries, 0u);
-  cache.insert("a", 1, "third");  // reusable after clear
-  ASSERT_TRUE(cache.lookup("a", 1, out));
-  EXPECT_EQ(out, "third");
+TEST(WireCodec, HostileContextFrameCountIsRejectedBeforeAllocation) {
+  // A 22-byte RESULT payload whose status claims 2^32-1 context frames:
+  // the count is checked against the remaining payload before anything is
+  // sized from it, so the decode fails instead of throwing bad_alloc.
+  WireWriter w;
+  w.str("x");          // scenario name
+  w.u64(7);            // seed
+  w.u8(1);             // a non-OK status code
+  w.str("");           // message
+  w.u32(0xFFFFFFFFu);  // context frame count
+  const std::string payload = w.take();
+  ASSERT_EQ(payload.size(), 22u);
+  WireReader r(payload);
+  sim::BatchResult decoded;
+  bool ok = true;
+  EXPECT_NO_THROW(ok = decode_batch_result(r, decoded));
+  EXPECT_FALSE(ok);
 }
 
 // --- Loopback integration ---------------------------------------------------
