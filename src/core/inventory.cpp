@@ -60,23 +60,51 @@ struct SlotReply {
   gen2::TagReply reply;
 };
 
-/// Broadcast a command to every tag, collecting replies.
-std::vector<SlotReply> broadcast(std::vector<TagAgent>& tags,
-                                 const gen2::Command& cmd,
-                                 const InventoryRoundConfig& cfg) {
-  std::vector<SlotReply> replies;
-  for (std::size_t i = 0; i < tags.size(); ++i) {
+/// The tags still taking part in a round: ascending indices of every tag
+/// whose state left kReady at the round's Query. QueryRep, QueryAdjust and
+/// ACK go only to these tags. That is exact: a kReady tag ignores all
+/// three, and an unpowered tag is kReady and only repeats the idempotent
+/// power_cycle() it already ran at the Query. A tag that drops back to
+/// kReady never rejoins before the next Query, so the list only shrinks,
+/// and replies still arrive in index order.
+class RoundMembers {
+ public:
+  /// Send the round's Query to every tag and enlist those that entered.
+  void open(std::vector<TagAgent>& tags, const gen2::Command& query,
+            const InventoryRoundConfig& cfg, std::vector<SlotReply>& replies) {
+    replies.clear();
+    members_.clear();
     gen2::CommandContext ctx;
-    ctx.incident_power_dbm = tags[i].incident_power_dbm;
-    if (std::holds_alternative<gen2::QueryCommand>(cmd)) {
-      ctx.trcal_s = cfg.trcal_s;
-    }
-    if (auto reply = tags[i].tag->on_command(cmd, ctx)) {
-      replies.push_back({i, *reply});
+    ctx.trcal_s = cfg.trcal_s;
+    for (std::size_t i = 0; i < tags.size(); ++i) {
+      ctx.incident_power_dbm = tags[i].incident_power_dbm;
+      if (auto reply = tags[i].tag->on_command(query, ctx)) {
+        replies.push_back({i, std::move(*reply)});
+      }
+      if (tags[i].tag->state() != gen2::TagState::kReady) members_.push_back(i);
     }
   }
-  return replies;
-}
+
+  /// Send a QueryRep, QueryAdjust or ACK to the members, collecting replies
+  /// in index order and dropping every member that fell back to kReady.
+  void send(std::vector<TagAgent>& tags, const gen2::Command& cmd,
+            std::vector<SlotReply>& replies) {
+    replies.clear();
+    gen2::CommandContext ctx;
+    std::size_t kept = 0;
+    for (const std::size_t i : members_) {
+      ctx.incident_power_dbm = tags[i].incident_power_dbm;
+      if (auto reply = tags[i].tag->on_command(cmd, ctx)) {
+        replies.push_back({i, std::move(*reply)});
+      }
+      if (tags[i].tag->state() != gen2::TagState::kReady) members_[kept++] = i;
+    }
+    members_.resize(kept);
+  }
+
+ private:
+  std::vector<std::size_t> members_;
+};
 
 }  // namespace
 
@@ -86,6 +114,9 @@ InventoryOutcome run_inventory(std::vector<TagAgent>& tags,
   InventoryOutcome outcome;
   int q = config.q;
   int unproductive_rounds = 0;
+  RoundMembers members;
+  std::vector<SlotReply> replies;
+  std::vector<SlotReply> epc_replies;
 
   for (int round = 0; round < config.max_rounds; ++round) {
     outcome.rounds = round + 1;
@@ -96,7 +127,7 @@ InventoryOutcome run_inventory(std::vector<TagAgent>& tags,
     query.target = config.target;
     query.sel = config.sel_target;
     query.q = static_cast<std::uint8_t>(q);
-    std::vector<SlotReply> replies = broadcast(tags, gen2::Command{query}, config);
+    members.open(tags, gen2::Command{query}, config, replies);
 
     int slots_remaining = 1 << q;
     int safety = 1 << 14;
@@ -116,7 +147,7 @@ InventoryOutcome run_inventory(std::vector<TagAgent>& tags,
                         config.decode_snr_threshold_db;
         if (decodable) {
           gen2::AckCommand ack{rn16->rn16};
-          auto epc_replies = broadcast(tags, gen2::Command{ack}, config);
+          members.send(tags, gen2::Command{ack}, epc_replies);
           if (epc_replies.size() == 1) {
             const auto epc = gen2::decode_epc_reply(epc_replies.front().reply.bits);
             if (epc) outcome.epcs.push_back(epc->epc);
@@ -134,12 +165,12 @@ InventoryOutcome run_inventory(std::vector<TagAgent>& tags,
         adjust.session = config.session;
         adjust.q_delta = (q_algorithm.q() > q) ? 1 : -1;
         q += adjust.q_delta;
-        replies = broadcast(tags, gen2::Command{adjust}, config);
+        members.send(tags, gen2::Command{adjust}, replies);
         slots_remaining = 1 << q;
       } else {
         gen2::QueryRepCommand rep;
         rep.session = config.session;
-        replies = broadcast(tags, gen2::Command{rep}, config);
+        members.send(tags, gen2::Command{rep}, replies);
       }
     }
 

@@ -61,7 +61,10 @@ struct InventoryOutcome {
 };
 
 /// Run adaptive inventory rounds until no new tags answer (or max_rounds).
-/// Q adapts between rounds via the reader's Q-algorithm.
+/// Q adapts between rounds via the reader's Q-algorithm. Each round's Query
+/// reaches every tag; QueryRep, QueryAdjust and ACK reach only the tags
+/// still in the round, which is equivalent because a tag outside it ignores
+/// them. Every agent must point at a distinct tag.
 InventoryOutcome run_inventory(std::vector<TagAgent>& tags,
                                const InventoryRoundConfig& config,
                                reader::QAlgorithm& q_algorithm, Rng& rng);

@@ -1,6 +1,7 @@
 #include "localize/peak.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 
 namespace rfly::localize {
@@ -40,78 +41,99 @@ std::vector<Peak> find_peaks(const Heatmap& map, double threshold_fraction,
   if (n == 0) return {};
   const double global_max = map.max_value();
   if (global_max <= 0.0) return {};
+  const std::vector<double>& values = map.values;
+  const double value_floor = threshold_fraction * global_max;
+  // The exact complement of the report filter's `v < value_floor` below.
+  const auto clears_floor = [value_floor](double v) { return !(v < value_floor); };
 
-  // Cells sorted by descending value; the sweep activates them in order.
+  // The sweep activates cells by descending value (ties by ascending index).
+  // Only summits that clear the floor can be reported. A component whose
+  // summit is below the floor always dies into a higher one, so it never
+  // decides a reported prominence. The cells that clear the floor are
+  // therefore sorted and swept first. The rest are swept only while two or
+  // more components with such a summit are still unmerged, because the
+  // remaining saddles decide only those components' prominences.
   std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return map.values[a] > map.values[b];
-  });
+  std::size_t n_high = 0;
+  std::size_t low_begin = n;
+  for (std::size_t cell = 0; cell < n; ++cell) {
+    if (clears_floor(values[cell])) {
+      order[n_high++] = cell;
+    } else {
+      order[--low_begin] = cell;
+    }
+  }
+  if (n_high == 0) return {};
+  const auto descending = [&values](std::size_t a, std::size_t b) {
+    return values[a] > values[b] || (values[a] == values[b] && a < b);
+  };
+  std::sort(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(n_high),
+            descending);
 
+  // A component's root is its summit: the first cell of the component, and
+  // the one every later cell and every dying component is united into.
   DisjointSets sets(n);
-  std::vector<bool> active(n, false);
-  // Per-root bookkeeping: the component's peak cell and value.
-  std::vector<std::size_t> peak_cell(n, 0);
-  std::vector<double> peak_value(n, 0.0);
-  std::vector<double> prominence(n, -1.0);  // finalized per peak cell
+  std::vector<std::uint8_t> active(n, 0);
+  std::vector<double> prominence(n, -1.0);  // finalized per summit cell
+  std::size_t open_summits = 0;  // unmerged components clearing the floor
 
-  auto neighbors = [&](std::size_t cell, auto&& visit) {
+  const auto activate = [&](std::size_t cell) {
+    const double v = values[cell];
+    // Distinct neighbouring components, in row-major neighbour order.
+    std::size_t roots[8];
+    std::size_t n_roots = 0;
     const std::size_t ix = cell % nx;
     const std::size_t iy = cell / nx;
-    for (int dy = -1; dy <= 1; ++dy) {
-      for (int dx = -1; dx <= 1; ++dx) {
-        if (dx == 0 && dy == 0) continue;
-        const auto jx = static_cast<long>(ix) + dx;
-        const auto jy = static_cast<long>(iy) + dy;
-        if (jx < 0 || jy < 0 || jx >= static_cast<long>(nx) ||
-            jy >= static_cast<long>(ny)) {
-          continue;
+    const std::size_t x_end = std::min(ix + 2, nx);
+    const std::size_t y_end = std::min(iy + 2, ny);
+    for (std::size_t jy = iy > 0 ? iy - 1 : 0; jy < y_end; ++jy) {
+      for (std::size_t jx = ix > 0 ? ix - 1 : 0; jx < x_end; ++jx) {
+        const std::size_t nb = jy * nx + jx;
+        if (!active[nb]) continue;  // also skips `cell` itself
+        const std::size_t r = sets.find(nb);
+        if (std::find(roots, roots + n_roots, r) == roots + n_roots) {
+          roots[n_roots++] = r;
         }
-        visit(static_cast<std::size_t>(jy) * nx + static_cast<std::size_t>(jx));
       }
     }
-  };
 
-  for (std::size_t cell : order) {
-    const double v = map.values[cell];
-    // Collect distinct neighboring components.
-    std::vector<std::size_t> roots;
-    neighbors(cell, [&](std::size_t nb) {
-      if (!active[nb]) return;
-      const std::size_t r = sets.find(nb);
-      if (std::find(roots.begin(), roots.end(), r) == roots.end()) {
-        roots.push_back(r);
-      }
-    });
-
-    active[cell] = true;
-    if (roots.empty()) {
+    active[cell] = 1;
+    if (n_roots == 0) {
       // A fresh summit.
-      peak_cell[cell] = cell;
-      peak_value[cell] = v;
-      continue;
+      if (clears_floor(v)) ++open_summits;
+      return;
     }
 
-    // Merge everything into the component with the highest peak; every
+    // Merge everything into the component with the highest summit; every
     // other component dies here, and `v` is its saddle.
-    std::size_t best = roots.front();
-    for (std::size_t r : roots) {
-      if (peak_value[r] > peak_value[best]) best = r;
+    std::size_t best = roots[0];
+    for (std::size_t k = 1; k < n_roots; ++k) {
+      if (values[roots[k]] > values[best]) best = roots[k];
     }
-    for (std::size_t r : roots) {
+    for (std::size_t k = 0; k < n_roots; ++k) {
+      const std::size_t r = roots[k];
       if (r == best) continue;
-      prominence[peak_cell[r]] = peak_value[r] - v;
+      prominence[r] = values[r] - v;
+      if (clears_floor(values[r])) --open_summits;
       sets.unite_into(r, best);
     }
     sets.unite_into(cell, best);
+  };
+
+  for (std::size_t k = 0; k < n_high; ++k) activate(order[k]);
+  if (open_summits > 1) {
+    std::sort(order.begin() + static_cast<std::ptrdiff_t>(n_high), order.end(),
+              descending);
+    for (std::size_t k = n_high; k < n && open_summits > 1; ++k) {
+      activate(order[k]);
+    }
   }
 
   // The global maximum's component never merged into anything: its
   // prominence is its own height.
   const std::size_t global_root = sets.find(order.front());
-  prominence[peak_cell[global_root]] = peak_value[global_root];
+  prominence[global_root] = values[global_root];
 
-  const double value_floor = threshold_fraction * global_max;
   std::vector<Peak> peaks;
   for (std::size_t cell = 0; cell < n; ++cell) {
     if (prominence[cell] < 0.0) continue;  // not a summit

@@ -34,7 +34,8 @@ struct Peak {
 /// prominence >= prominence_fraction * the peak's own value (i.e. the peak
 /// must rise well above the saddle connecting it to stronger structure),
 /// sorted by value descending. Prominence comes from a descending watershed
-/// (union-find) sweep.
+/// (union-find) sweep that activates equal values in ascending cell order
+/// and stops once no saddle left can change a reportable peak.
 std::vector<Peak> find_peaks(const Heatmap& map, double threshold_fraction = 0.5,
                              double prominence_fraction = 0.4);
 

@@ -15,6 +15,7 @@
 #include "core/system.h"
 #include "drone/trajectory.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace rfly::sim {
 
@@ -177,6 +178,66 @@ void derive_chain_system(Chain& chain, const MissionInputs& inputs) {
   }
 }
 
+/// Shared Gen2 inventory: one contention round over the whole fleet's
+/// population — tags of different chains collide in the same slots. Air-
+/// interface conditions come from each tag's own chain at its closest
+/// selected waypoint; a tag whose chain never took off stays unpowered.
+/// Returns each tag's discovery verdict, in tag order.
+std::vector<bool> shared_inventory(const MissionInputs& inputs,
+                                   const std::vector<Chain>& chains,
+                                   const std::vector<std::size_t>& owner,
+                                   std::uint64_t seed) {
+  std::vector<gen2::Tag> machines;
+  machines.reserve(inputs.tags.size());
+  for (std::size_t i = 0; i < inputs.tags.size(); ++i) {
+    machines.emplace_back(inputs.tags[i].config, seed + 100 + i);
+  }
+  std::vector<core::RflySystem> systems;
+  systems.reserve(chains.size());
+  for (const Chain& chain : chains) {
+    systems.emplace_back(chain.config.system, inputs.environment,
+                         chain.reader_pos);
+  }
+  std::vector<core::TagAgent> agents;
+  agents.reserve(inputs.tags.size());
+  for (std::size_t i = 0; i < inputs.tags.size(); ++i) {
+    core::TagAgent agent{&machines[i], -100.0, -100.0};
+    const Chain& chain = chains[owner[i]];
+    if (!chain.plan.route.empty()) {
+      const Vec3& tag_pos = inputs.tags[i].position;
+      const auto closest = std::min_element(
+          chain.plan.route.begin(), chain.plan.route.end(),
+          [&](const Vec3& a, const Vec3& b) {
+            return a.distance_to(tag_pos) < b.distance_to(tag_pos);
+          });
+      const core::RflySystem& system = systems[owner[i]];
+      agent.incident_power_dbm =
+          system.tag_incident_power_dbm(*closest, tag_pos);
+      agent.reply_snr_db = system.reply_snr_db(*closest, tag_pos);
+    }
+    agents.push_back(agent);
+  }
+  core::InventoryRoundConfig round = inputs.config.inventory;
+  if (inputs.config.use_select) {
+    for (auto& agent : agents) {
+      gen2::CommandContext ctx;
+      ctx.incident_power_dbm = agent.incident_power_dbm;
+      agent.tag->on_command(gen2::Command{inputs.config.select}, ctx);
+    }
+    round.sel_target = gen2::SelTarget::kSl;
+  }
+  reader::QAlgorithm q_algo(static_cast<double>(inputs.config.inventory.q));
+  Rng inventory_rng(stream_seed(seed, kFleetInventoryStream));
+  const auto outcome = core::run_inventory(agents, round, q_algo, inventory_rng);
+  std::vector<bool> discovered(inputs.tags.size(), false);
+  for (std::size_t i = 0; i < inputs.tags.size(); ++i) {
+    discovered[i] =
+        std::find(outcome.epcs.begin(), outcome.epcs.end(),
+                  inputs.tags[i].config.epc) != outcome.epcs.end();
+  }
+  return discovered;
+}
+
 }  // namespace
 
 Expected<MissionRun> run_fleet_mission(const MissionInputs& inputs,
@@ -284,57 +345,15 @@ Expected<MissionRun> run_fleet_mission(const MissionInputs& inputs,
   const double planner_coverage =
       planned_info > 0.0 ? std::min(1.0, covered_info / planned_info) : 1.0;
 
-  // --- Shared Gen2 inventory: one contention round over the whole fleet's
-  // population — tags of different chains collide in the same slots. Air-
-  // interface conditions come from each tag's own chain at its closest
-  // selected waypoint; a tag whose chain never took off stays unpowered.
-  std::vector<gen2::Tag> machines;
-  machines.reserve(inputs.tags.size());
-  for (std::size_t i = 0; i < inputs.tags.size(); ++i) {
-    machines.emplace_back(inputs.tags[i].config, seed + 100 + i);
-  }
-  std::vector<core::RflySystem> systems;
-  systems.reserve(chains.size());
-  for (const Chain& chain : chains) {
-    systems.emplace_back(chain.config.system, inputs.environment,
-                         chain.reader_pos);
-  }
-  std::vector<core::TagAgent> agents;
-  agents.reserve(inputs.tags.size());
-  for (std::size_t i = 0; i < inputs.tags.size(); ++i) {
-    core::TagAgent agent{&machines[i], -100.0, -100.0};
-    const Chain& chain = chains[owner[i]];
-    if (!chain.plan.route.empty()) {
-      const Vec3& tag_pos = inputs.tags[i].position;
-      const auto closest = std::min_element(
-          chain.plan.route.begin(), chain.plan.route.end(),
-          [&](const Vec3& a, const Vec3& b) {
-            return a.distance_to(tag_pos) < b.distance_to(tag_pos);
-          });
-      const core::RflySystem& system = systems[owner[i]];
-      agent.incident_power_dbm =
-          system.tag_incident_power_dbm(*closest, tag_pos);
-      agent.reply_snr_db = system.reply_snr_db(*closest, tag_pos);
-    }
-    agents.push_back(agent);
-  }
-  core::InventoryRoundConfig round = inputs.config.inventory;
-  if (inputs.config.use_select) {
-    for (auto& agent : agents) {
-      gen2::CommandContext ctx;
-      ctx.incident_power_dbm = agent.incident_power_dbm;
-      agent.tag->on_command(gen2::Command{inputs.config.select}, ctx);
-    }
-    round.sel_target = gen2::SelTarget::kSl;
-  }
-  reader::QAlgorithm q_algo(static_cast<double>(inputs.config.inventory.q));
-  Rng inventory_rng(stream_seed(seed, kFleetInventoryStream));
-  const auto outcome = core::run_inventory(agents, round, q_algo, inventory_rng);
-  std::vector<bool> discovered(inputs.tags.size(), false);
-  for (std::size_t i = 0; i < inputs.tags.size(); ++i) {
-    discovered[i] =
-        std::find(outcome.epcs.begin(), outcome.epcs.end(),
-                  inputs.tags[i].config.epc) != outcome.epcs.end();
+  // --- Shared Gen2 inventory. Its wall time is charged to the merged
+  // inventory stage below: seconds only, so the stage invocations stay the
+  // sub-missions' own (deterministic) counts.
+  std::vector<bool> discovered;
+  double inventory_seconds = 0.0;
+  {
+    obs::Span span("fleet.inventory");
+    discovered = shared_inventory(inputs, chains, owner, seed);
+    inventory_seconds = span.elapsed_seconds();
   }
 
   // --- Sub-missions: one pipeline run per chain over its planned route and
@@ -402,6 +421,8 @@ Expected<MissionRun> run_fleet_mission(const MissionInputs& inputs,
     weighted_sub_coverage += sub->aperture_coverage *
                              static_cast<double>(chain.tags.size());
   }
+  merged.trace[static_cast<std::size_t>(Stage::kInventory)].seconds +=
+      inventory_seconds;
   merged.report.items = std::move(items);
   weighted_sub_coverage /= static_cast<double>(inputs.tags.size());
   merged.aperture_coverage = planner_coverage * weighted_sub_coverage;

@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <numeric>
+#include <string>
+#include <vector>
 
 #include "channel/path_loss.h"
 #include "common/rng.h"
 #include "drone/trajectory.h"
 #include "localize/localizer.h"
+#include "sim/pipeline.h"
+#include "sim/scenario.h"
 
 namespace rfly::localize {
 namespace {
@@ -182,6 +189,209 @@ TEST(Peaks, NearestToTrajectoryRejectsGhost) {
 TEST(Peaks, EmptyCandidatesYieldZeroPeak) {
   const auto p = select_peak({}, PeakSelection::kHighest, {});
   EXPECT_DOUBLE_EQ(p.value, 0.0);
+}
+
+/// The full-grid watershed sweep find_peaks ran before it learned to sort
+/// and sweep only the cells that can decide a reported peak. Kept as the
+/// golden reference: on maps with distinct values both must agree field
+/// for field.
+std::vector<Peak> reference_find_peaks(const Heatmap& map, double threshold_fraction,
+                                       double prominence_fraction) {
+  const std::size_t nx = map.grid.nx();
+  const std::size_t ny = map.grid.ny();
+  const std::size_t n = nx * ny;
+  if (n == 0) return {};
+  const double global_max = map.max_value();
+  if (global_max <= 0.0) return {};
+
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return map.values[a] > map.values[b];
+  });
+
+  std::vector<std::size_t> parent(n);
+  std::iota(parent.begin(), parent.end(), std::size_t{0});
+  const auto find = [&](std::size_t i) {
+    while (parent[i] != i) {
+      parent[i] = parent[parent[i]];
+      i = parent[i];
+    }
+    return i;
+  };
+  std::vector<bool> active(n, false);
+  std::vector<std::size_t> peak_cell(n, 0);
+  std::vector<double> peak_value(n, 0.0);
+  std::vector<double> prominence(n, -1.0);
+
+  for (std::size_t cell : order) {
+    const double v = map.values[cell];
+    std::vector<std::size_t> roots;
+    const std::size_t ix = cell % nx;
+    const std::size_t iy = cell / nx;
+    for (int dy = -1; dy <= 1; ++dy) {
+      for (int dx = -1; dx <= 1; ++dx) {
+        if (dx == 0 && dy == 0) continue;
+        const auto jx = static_cast<long>(ix) + dx;
+        const auto jy = static_cast<long>(iy) + dy;
+        if (jx < 0 || jy < 0 || jx >= static_cast<long>(nx) ||
+            jy >= static_cast<long>(ny)) {
+          continue;
+        }
+        const std::size_t nb =
+            static_cast<std::size_t>(jy) * nx + static_cast<std::size_t>(jx);
+        if (!active[nb]) continue;
+        const std::size_t r = find(nb);
+        if (std::find(roots.begin(), roots.end(), r) == roots.end()) {
+          roots.push_back(r);
+        }
+      }
+    }
+
+    active[cell] = true;
+    if (roots.empty()) {
+      peak_cell[cell] = cell;
+      peak_value[cell] = v;
+      continue;
+    }
+    std::size_t best = roots.front();
+    for (std::size_t r : roots) {
+      if (peak_value[r] > peak_value[best]) best = r;
+    }
+    for (std::size_t r : roots) {
+      if (r == best) continue;
+      prominence[peak_cell[r]] = peak_value[r] - v;
+      parent[r] = best;
+    }
+    parent[cell] = best;
+  }
+
+  const std::size_t global_root = find(order.front());
+  prominence[peak_cell[global_root]] = peak_value[global_root];
+
+  const double value_floor = threshold_fraction * global_max;
+  std::vector<Peak> peaks;
+  for (std::size_t cell = 0; cell < n; ++cell) {
+    if (prominence[cell] < 0.0) continue;
+    const double v = map.values[cell];
+    if (v < value_floor || prominence[cell] < prominence_fraction * v) continue;
+    Peak p;
+    p.x = map.grid.x_at(cell % nx);
+    p.y = map.grid.y_at(cell / nx);
+    p.value = v;
+    p.prominence = prominence[cell];
+    peaks.push_back(p);
+  }
+  std::sort(peaks.begin(), peaks.end(),
+            [](const Peak& a, const Peak& b) { return a.value > b.value; });
+  return peaks;
+}
+
+/// find_peaks against the reference over a sweep of thresholds, plus the
+/// caller's own.
+void expect_peaks_match_reference(const Heatmap& map, const std::string& where,
+                                  double own_threshold = 0.5) {
+  for (double threshold : {own_threshold, 0.0, 0.3, 0.9, 1.0, 1.5}) {
+    for (double prominence : {0.0, 0.4, 1.0}) {
+      const auto expected = reference_find_peaks(map, threshold, prominence);
+      const auto actual = find_peaks(map, threshold, prominence);
+      const std::string at = where + " threshold " + std::to_string(threshold) +
+                             " prominence " + std::to_string(prominence);
+      ASSERT_EQ(expected.size(), actual.size()) << at;
+      for (std::size_t k = 0; k < expected.size(); ++k) {
+        EXPECT_EQ(expected[k].x, actual[k].x) << at << " peak " << k;
+        EXPECT_EQ(expected[k].y, actual[k].y) << at << " peak " << k;
+        EXPECT_EQ(expected[k].value, actual[k].value) << at << " peak " << k;
+        EXPECT_EQ(expected[k].prominence, actual[k].prominence) << at << " peak " << k;
+      }
+    }
+  }
+}
+
+Heatmap blank_map(std::size_t nx, std::size_t ny) {
+  Heatmap map;
+  map.grid.x_min = 0.0;
+  map.grid.x_max = 0.1 * static_cast<double>(nx - 1);
+  map.grid.y_min = 0.0;
+  map.grid.y_max = 0.1 * static_cast<double>(ny - 1);
+  map.grid.resolution_m = 0.1;
+  map.values.assign(map.grid.nx() * map.grid.ny(), 0.0);
+  return map;
+}
+
+TEST(PeaksGolden, MatchesFullSweepOnRandomDistinctMaps) {
+  // White noise (a random permutation of distinct levels: many summits,
+  // deep merging) and smooth bumps with a distinct jitter, over grid
+  // shapes down to a single row, column and cell.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 1}, {1, 9}, {9, 1}, {2, 2}, {7, 5}, {40, 30}, {64, 48}};
+  Rng rng(4242);
+  for (const auto& [nx, ny] : shapes) {
+    for (int trial = 0; trial < 4; ++trial) {
+      Heatmap map = blank_map(nx, ny);
+      const std::size_t n = map.values.size();
+      ASSERT_EQ(n, nx * ny);
+      std::vector<std::size_t> levels(n);
+      std::iota(levels.begin(), levels.end(), std::size_t{1});
+      for (std::size_t i = n; i > 1; --i) {
+        std::swap(levels[i - 1], levels[static_cast<std::size_t>(
+                                     rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+      }
+      const std::string where = std::to_string(nx) + "x" + std::to_string(ny) +
+                                " trial " + std::to_string(trial);
+      for (std::size_t i = 0; i < n; ++i) {
+        map.values[i] = static_cast<double>(levels[i]);
+      }
+      expect_peaks_match_reference(map, "noise " + where);
+
+      std::vector<std::array<double, 4>> bumps(3 + static_cast<std::size_t>(trial));
+      for (auto& b : bumps) {
+        b = {rng.uniform(0.0, static_cast<double>(nx)),
+             rng.uniform(0.0, static_cast<double>(ny)), rng.uniform(0.2, 1.0),
+             rng.uniform(1.0, 6.0)};
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        const double x = static_cast<double>(i % nx);
+        const double y = static_cast<double>(i / nx);
+        double v = 1e-9 * static_cast<double>(levels[i]);
+        for (const auto& b : bumps) {
+          const double d2 = (x - b[0]) * (x - b[0]) + (y - b[1]) * (y - b[1]);
+          v += b[2] * std::exp(-d2 / (2.0 * b[3] * b[3]));
+        }
+        map.values[i] = v;
+      }
+      expect_peaks_match_reference(map, "bumps " + where);
+    }
+  }
+}
+
+TEST(PeaksGolden, MatchesFullSweepOnPresetHeatmaps) {
+  // Heatmaps exactly as seeded preset missions hand them to peak
+  // extraction: the deferred half-link sets of warehouse and through-wall
+  // missions, imaged over their localizer grids.
+  for (const char* name : {"warehouse", "through_wall"}) {
+    auto scenario = sim::preset(name);
+    ASSERT_TRUE(scenario.ok()) << name;
+    const sim::MissionInputs inputs = sim::materialize(*scenario);
+    for (std::uint64_t seed : {3u, 17u}) {
+      std::vector<sim::DeferredLocalize> tasks;
+      const auto run = sim::run_mission_pipeline(
+          inputs.config, inputs.environment, inputs.reader_position, inputs.plan,
+          inputs.tags, inputs.db, seed, {}, &tasks);
+      ASSERT_TRUE(run.ok()) << name;
+      ASSERT_FALSE(tasks.empty()) << name;
+      if (tasks.size() > 4) tasks.resize(4);
+      for (std::size_t i = 0; i < tasks.size(); ++i) {
+        const auto& t = tasks[i];
+        const Heatmap map =
+            sar_heatmap(t.half_link, localize_scan_grid(t.config), t.config.freq_hz,
+                        t.config.z_plane_m, 1, t.config.kernel);
+        const std::string where = std::string(name) + " seed " +
+                                  std::to_string(seed) + " task " + std::to_string(i);
+        expect_peaks_match_reference(map, where, t.config.peak_threshold_fraction);
+      }
+    }
+  }
 }
 
 TEST(Localizer, EndToEndCleanScene) {
