@@ -21,25 +21,47 @@ obs::Histogram& c2f_refined_cells() {
   return h;
 }
 
-/// Refine a peak by evaluating the projection on a fine grid patch around
-/// it. Works on the prebuilt geometry so the SoA conversion is hoisted out
-/// of the patch loop (and shared by every candidate).
-Peak refine_peak(const SarGeometry& geo, const Peak& coarse, double fine_res,
-                 double patch_half_width, double z_plane, SarKernel kernel) {
-  Peak best = coarse;
-  for (double y = coarse.y - patch_half_width; y <= coarse.y + patch_half_width;
-       y += fine_res) {
-    for (double x = coarse.x - patch_half_width; x <= coarse.x + patch_half_width;
-         x += fine_res) {
-      const double v = sar_projection(geo, {x, y, z_plane}, kernel);
+/// First strict maximum of P over the patch xs × ys, scanning y then x and
+/// starting from `best`. The exact kernel sums each patch row in the shared
+/// row evaluator (bit-identical to per-point sar_projection); the fast
+/// kernel evaluates each point.
+Peak scan_patch(const SarGeometry& geo, SarKernel kernel,
+                const std::vector<double>& xs, const std::vector<double>& ys,
+                double z_plane, Peak best) {
+  const bool fast = resolve_sar_kernel(kernel) == SarKernel::kFast;
+  ExactRowEvaluator exact(geo);
+  for (double y : ys) {
+    if (!fast) exact.evaluate(xs.data(), xs.size(), y, z_plane);
+    for (std::size_t ix = 0; ix < xs.size(); ++ix) {
+      const double v =
+          fast ? sar_projection(geo, {xs[ix], y, z_plane}, kernel)
+               : std::abs(cdouble{exact.re(0)[ix], exact.im(0)[ix]});
       if (v > best.value) {
         best.value = v;
-        best.x = x;
+        best.x = xs[ix];
         best.y = y;
       }
     }
   }
   return best;
+}
+
+/// Refine a peak by evaluating the projection on a fine grid patch around
+/// it. Works on the prebuilt geometry so the SoA conversion is hoisted out
+/// of the patch loop (and shared by every candidate). Patch coordinates
+/// step by repeated addition.
+Peak refine_peak(const SarGeometry& geo, const Peak& coarse, double fine_res,
+                 double patch_half_width, double z_plane, SarKernel kernel) {
+  std::vector<double> xs, ys;
+  for (double x = coarse.x - patch_half_width; x <= coarse.x + patch_half_width;
+       x += fine_res) {
+    xs.push_back(x);
+  }
+  for (double y = coarse.y - patch_half_width; y <= coarse.y + patch_half_width;
+       y += fine_res) {
+    ys.push_back(y);
+  }
+  return scan_patch(geo, kernel, xs, ys, z_plane, coarse);
 }
 
 /// Coarse-to-fine refinement on the *fine lattice*: map a coarse sample
@@ -59,22 +81,17 @@ Peak refine_lattice_peak(const SarGeometry& geo, const GridSpec& fine,
   const long x_hi = std::min(nx - 1, jx0 + w);
   const long y_lo = std::max(0L, jy0 - w);
   const long y_hi = std::min(ny - 1, jy0 + w);
-  Peak best;
-  best.value = -1.0;
+  std::vector<double> xs, ys;
+  for (long jx = x_lo; jx <= x_hi; ++jx) {
+    xs.push_back(fine.x_at(static_cast<std::size_t>(jx)));
+  }
   for (long jy = y_lo; jy <= y_hi; ++jy) {
-    const double y = fine.y_at(static_cast<std::size_t>(jy));
-    for (long jx = x_lo; jx <= x_hi; ++jx) {
-      const double x = fine.x_at(static_cast<std::size_t>(jx));
-      const double v = sar_projection(geo, {x, y, z_plane}, kernel);
-      if (v > best.value) {
-        best.value = v;
-        best.x = x;
-        best.y = y;
-      }
-    }
+    ys.push_back(fine.y_at(static_cast<std::size_t>(jy)));
   }
   *cells_scanned = static_cast<std::size_t>((x_hi - x_lo + 1) * (y_hi - y_lo + 1));
-  return best;
+  Peak none;
+  none.value = -1.0;
+  return scan_patch(geo, kernel, xs, ys, z_plane, none);
 }
 
 /// Coarse sampling step in fine cells for a configured coarse resolution,

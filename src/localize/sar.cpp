@@ -137,6 +137,67 @@ SarGeometry SarGeometry::from(const DisentangledSet& set, double freq_hz) {
   return geo;
 }
 
+ExactRowEvaluator::ExactRowEvaluator(double k, const double* px, const double* py,
+                                     const double* pz, std::size_t samples,
+                                     const double* const* hre,
+                                     const double* const* him, std::size_t tags)
+    : k_(k),
+      px_(px),
+      py_(py),
+      pz_(pz),
+      samples_(samples),
+      hre_(hre, hre + tags),
+      him_(him, him + tags) {}
+
+ExactRowEvaluator::ExactRowEvaluator(const SarGeometry& geo)
+    : k_(geo.k),
+      px_(geo.px.data()),
+      py_(geo.py.data()),
+      pz_(geo.pz.data()),
+      samples_(geo.size()),
+      hre_{geo.hre.data()},
+      him_{geo.him.data()} {}
+
+void ExactRowEvaluator::evaluate(const double* xs, std::size_t nx, double y,
+                                 double z) {
+  const std::size_t tags = hre_.size();
+  nx_ = nx;
+  re_.assign(tags * nx, 0.0);
+  im_.assign(tags * nx, 0.0);
+  double arg[kBlockCells] = {}, c[kBlockCells] = {}, s[kBlockCells] = {};
+  for (std::size_t b0 = 0; b0 < nx; b0 += kBlockCells) {
+    const std::size_t n = std::min(kBlockCells, nx - b0);
+    const double* x = xs + b0;
+    for (std::size_t l = 0; l < samples_; ++l) {
+      // Distance pass: the seed's expression and association order. Never
+      // hoist dy*dy + dz*dz as one partial sum: that reassociates d.
+      const double dy = y - py_[l];
+      const double dz = z - pz_[l];
+      for (std::size_t i = 0; i < n; ++i) {
+        const double dx = x[i] - px_[l];
+        arg[i] = k_ * std::sqrt(dx * dx + dy * dy + dz * dz);
+      }
+      // Sincos pass: independent libm calls (GCC fuses each cos/sin pair
+      // into one sincos), free to overlap across cells.
+      for (std::size_t i = 0; i < n; ++i) {
+        c[i] = std::cos(arg[i]);
+        s[i] = std::sin(arg[i]);
+      }
+      // Accumulate pass: per tag, element-wise across the block's cells.
+      for (std::size_t t = 0; t < tags; ++t) {
+        const double hr = hre_[t][l];
+        const double hi = him_[t][l];
+        double* re = re_.data() + t * nx + b0;
+        double* im = im_.data() + t * nx + b0;
+        for (std::size_t i = 0; i < n; ++i) {
+          re[i] += hr * c[i] - hi * s[i];
+          im[i] += hr * s[i] + hi * c[i];
+        }
+      }
+    }
+  }
+}
+
 Heatmap sar_heatmap(const DisentangledSet& set, const GridSpec& grid, double freq_hz,
                     double z_plane, unsigned threads, SarKernel kernel) {
   obs::Span heatmap_span("sar.heatmap");
@@ -190,25 +251,12 @@ Heatmap sar_heatmap(const DisentangledSet& set, const GridSpec& grid, double fre
           args.scratch = scratch.data();
           sar_kernel_active().rows(args, row_begin, row_end);
         } else {
+          ExactRowEvaluator eval(geo);
           for (std::size_t iy = row_begin; iy < row_end; ++iy) {
-            const double y = ys[iy];
+            eval.evaluate(xs.data(), nx, ys[iy], z_plane);
             double* row = map.values.data() + iy * nx;
             for (std::size_t ix = 0; ix < nx; ++ix) {
-              const double x = xs[ix];
-              double re = 0.0, im = 0.0;
-              for (std::size_t l = 0; l < L; ++l) {
-                const double dx = x - geo.px[l];
-                const double dy = y - geo.py[l];
-                const double dz = z_plane - geo.pz[l];
-                const double d = std::sqrt(dx * dx + dy * dy + dz * dz);
-                // sincos is the innermost cost of the whole system; the SoA
-                // operand streams let the surrounding arithmetic vectorize.
-                const double c = std::cos(geo.k * d);
-                const double s = std::sin(geo.k * d);
-                re += geo.hre[l] * c - geo.him[l] * s;
-                im += geo.hre[l] * s + geo.him[l] * c;
-              }
-              row[ix] = std::abs(cdouble{re, im});
+              row[ix] = std::abs(cdouble{eval.re(0)[ix], eval.im(0)[ix]});
             }
           }
         }
@@ -305,6 +353,8 @@ void sar_heatmap_multi(const SharedTrajectory& trajectory, const SharedGrid& gri
   parallel_for(
       0, ny, grain,
       [&](std::size_t row_begin, std::size_t row_end) {
+        std::uint64_t chunk_start_ns = 0;
+        if constexpr (obs::kEnabled) chunk_start_ns = obs::monotonic_ns();
         if (fast) {
           // Scratch: yz2 hoist plus per-tag lane accumulators (kLanes = 8
           // in sar_kernel_impl.inc).
@@ -326,35 +376,28 @@ void sar_heatmap_multi(const SharedTrajectory& trajectory, const SharedGrid& gri
           args.tags = count;
           sar_kernel_active().rows_multi(args, row_begin, row_end);
         } else {
-          // Exact multi-tag loop: per (cell, sample) the distance and the
-          // libm sincos are computed once and reused by every tag; each
-          // tag's accumulation is term-for-term the single-tag exact loop
-          // (same expressions, same order over l, same epilogue), compiled
-          // in this TU under the same contraction-safe flags — so each
-          // plane is bit-identical to sar_heatmap's exact path.
-          std::vector<double> re(count), im(count);
+          // One distance and sincos per (cell, sample), reused by every
+          // tag; each tag's sums are term for term sar_heatmap's, so each
+          // plane is bit-identical to a single-tag sweep.
+          ExactRowEvaluator eval(k, trajectory.px.data(), trajectory.py.data(),
+                                 trajectory.pz.data(), L, hre.data(),
+                                 him.data(), count);
           for (std::size_t iy = row_begin; iy < row_end; ++iy) {
-            const double y = grid.ys[iy];
-            for (std::size_t ix = 0; ix < nx; ++ix) {
-              const double x = grid.xs[ix];
-              for (std::size_t t = 0; t < count; ++t) re[t] = im[t] = 0.0;
-              for (std::size_t l = 0; l < L; ++l) {
-                const double dx = x - trajectory.px[l];
-                const double dy = y - trajectory.py[l];
-                const double dz = z_plane - trajectory.pz[l];
-                const double d = std::sqrt(dx * dx + dy * dy + dz * dz);
-                const double c = std::cos(k * d);
-                const double s = std::sin(k * d);
-                for (std::size_t t = 0; t < count; ++t) {
-                  re[t] += hre[t][l] * c - him[t][l] * s;
-                  im[t] += hre[t][l] * s + him[t][l] * c;
-                }
-              }
-              for (std::size_t t = 0; t < count; ++t) {
-                values[t][iy * nx + ix] = std::abs(cdouble{re[t], im[t]});
+            eval.evaluate(grid.xs.data(), nx, grid.ys[iy], z_plane);
+            for (std::size_t t = 0; t < count; ++t) {
+              double* row = values[t] + iy * nx;
+              const double* re = eval.re(t);
+              const double* im = eval.im(t);
+              for (std::size_t ix = 0; ix < nx; ++ix) {
+                row[ix] = std::abs(cdouble{re[ix], im[ix]});
               }
             }
           }
+        }
+        if constexpr (obs::kEnabled) {
+          (fast ? sar_chunk_seconds_fast() : sar_chunk_seconds_exact())
+              .observe(static_cast<double>(obs::monotonic_ns() - chunk_start_ns) *
+                       1e-9);
         }
         sar_cells().add((row_end - row_begin) * nx * count);
       },
@@ -414,29 +457,17 @@ void SarAccumulator::apply(const DisentangledSet& set, double sign) {
           args.sign = sign;
           sar_kernel_active().accumulate(args, row_begin, row_end);
         } else {
-          // The batch exact loop's arithmetic, term for term: the batch
-          // folds in registers, the single plane update per cell is
-          // acc += sign * block (exact for sign = +/-1), so any grouping
-          // of adds replays the batch loop's rounding sequence.
+          // The batch folds in the evaluator; the single plane update per
+          // cell is acc += sign * block (exact for sign = +/-1), so any
+          // grouping of adds replays the batch loop's rounding sequence.
+          ExactRowEvaluator eval(geo);
           for (std::size_t iy = row_begin; iy < row_end; ++iy) {
-            const double y = ys_[iy];
+            eval.evaluate(xs_.data(), nx, ys_[iy], z_plane_);
             double* acc_re = re_.data() + iy * nx;
             double* acc_im = im_.data() + iy * nx;
             for (std::size_t ix = 0; ix < nx; ++ix) {
-              const double x = xs_[ix];
-              double re = 0.0, im = 0.0;
-              for (std::size_t l = 0; l < L; ++l) {
-                const double dx = x - geo.px[l];
-                const double dy = y - geo.py[l];
-                const double dz = z_plane_ - geo.pz[l];
-                const double d = std::sqrt(dx * dx + dy * dy + dz * dz);
-                const double c = std::cos(geo.k * d);
-                const double s = std::sin(geo.k * d);
-                re += geo.hre[l] * c - geo.him[l] * s;
-                im += geo.hre[l] * s + geo.him[l] * c;
-              }
-              acc_re[ix] += sign * re;
-              acc_im[ix] += sign * im;
+              acc_re[ix] += sign * eval.re(0)[ix];
+              acc_im[ix] += sign * eval.im(0)[ix];
             }
           }
         }

@@ -60,6 +60,46 @@ struct SarGeometry {
   static SarGeometry from(const DisentangledSet& set, double freq_hz);
 };
 
+/// The exact kernel's one cell loop, shared by sar_heatmap,
+/// sar_heatmap_multi, SarAccumulator and the 2D refinement patches. For one
+/// row of cells (xs[0..nx), y, z) and every tag t it sums, per cell,
+///   re += hre[t][l]*cos(k*d) - him[t][l]*sin(k*d)
+///   im += hre[t][l]*sin(k*d) + him[t][l]*cos(k*d)
+/// with d = sqrt(dx*dx + dy*dy + dz*dz), over the samples l in ascending
+/// order: the seed's expressions in the seed's order, so every sum is
+/// bit-identical to the per-cell loop (tests/test_sar_exact_golden.cpp).
+/// Only the nesting differs: per block of cells and sample, a distance
+/// pass, a pass of independent libm cos/sin calls, then the per-tag
+/// accumulate, so the core overlaps work across cells. Not thread-safe:
+/// one evaluator per worker.
+class ExactRowEvaluator {
+ public:
+  /// `hre`/`him` are per-tag weight tables of `tags` pointers, each to
+  /// `samples` doubles; the pointed-to arrays must outlive the evaluator.
+  ExactRowEvaluator(double k, const double* px, const double* py,
+                    const double* pz, std::size_t samples,
+                    const double* const* hre, const double* const* him,
+                    std::size_t tags);
+  /// Single-tag evaluator over a prebuilt geometry (which must outlive it).
+  explicit ExactRowEvaluator(const SarGeometry& geo);
+
+  /// Sum every tag's samples over one row; re()/im() hold the sums until
+  /// the next call.
+  void evaluate(const double* xs, std::size_t nx, double y, double z);
+  const double* re(std::size_t tag) const { return re_.data() + tag * nx_; }
+  const double* im(std::size_t tag) const { return im_.data() + tag * nx_; }
+
+ private:
+  static constexpr std::size_t kBlockCells = 64;
+
+  double k_;
+  const double *px_, *py_, *pz_;
+  std::size_t samples_;
+  std::vector<const double*> hre_, him_;
+  std::size_t nx_ = 0;
+  std::vector<double> re_, im_;  // tags rows of nx_ sums
+};
+
 /// Evaluate P over the grid at plane height `z` (tags on the floor: z=0).
 /// `freq_hz` is the relay-tag half-link carrier f2 — the paper notes f is
 /// an acceptable stand-in since (f - f2)/f < 0.01.

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "localize/sar.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -178,6 +179,34 @@ TEST(ObsTrace, CrossThreadSpansCarryThreadIds) {
     if (std::string(s.name) == "test.worker_thread") worker_tid = s.thread;
   }
   EXPECT_NE(main_tid, worker_tid);
+}
+
+std::uint64_t histogram_count(const std::string& name) {
+  const auto* h = find_histogram(obs::snapshot(), name);
+  return h != nullptr ? h->count : 0;
+}
+
+// The batched multi-tag sweep times its row chunks into the same per-kernel
+// histograms as sar_heatmap: one observation per chunk (a serial sweep is
+// one chunk), none in the other kernel's histogram.
+TEST(ObsMetrics, MultiTagSweepTimesItsChunksPerKernel) {
+  if (!obs::kEnabled) GTEST_SKIP() << "obs layer compiled out";
+  const std::vector<channel::Vec3> positions = {{0.0, 2.0, 1.0}, {0.5, 2.0, 1.0}};
+  const std::vector<double> hre = {1.0, 0.5}, him = {0.0, -0.5};
+  const auto traj = localize::SharedTrajectory::from(positions);
+  const auto grid = localize::SharedGrid::from({0.0, 0.3, 0.0, 0.9, 0.1});
+  std::vector<double> plane(grid.xs.size() * grid.ys.size());
+  const localize::MultiTagSlot slot{hre.data(), him.data(), plane.data()};
+  for (const auto kernel : {localize::SarKernel::kExact, localize::SarKernel::kFast}) {
+    const std::uint64_t exact0 = histogram_count("sar.row_chunk_seconds");
+    const std::uint64_t fast0 = histogram_count("sar.row_chunk_seconds.fast");
+    localize::sar_heatmap_multi(traj, grid, 915e6, 0.0, &slot, 1, /*threads=*/1,
+                                kernel);
+    const bool fast = kernel == localize::SarKernel::kFast;
+    EXPECT_EQ(histogram_count("sar.row_chunk_seconds") - exact0, fast ? 0u : 1u);
+    EXPECT_EQ(histogram_count("sar.row_chunk_seconds.fast") - fast0,
+              fast ? 1u : 0u);
+  }
 }
 
 TEST(ObsExport, JsonShapes) {
