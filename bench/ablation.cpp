@@ -89,8 +89,8 @@ void a3_frequency_shift() {
     cfg.localize_at_reader_freq = true;  // use f instead of f2
     std::vector<double> errors;
     for (std::uint64_t seed = 0; seed < 8; ++seed) {
-      auto result = run_localization_trial(cfg, 300 + seed);
-      if (result.localized) errors.push_back(result.sar_error_m);
+      const auto result = run_localization_trial(cfg, 300 + seed);
+      if (result) errors.push_back(result->sar_error_m);
     }
     std::printf("  shift %5.0f kHz (ratio %.4f): median error %6.3f m\n",
                 shift / 1e3, shift / 915e6, median(errors));

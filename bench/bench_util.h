@@ -77,7 +77,7 @@ struct CliOptions {
   std::string scenario; // scenario file (scenario_runner)
   bool report = false;  // print the span tree + metric table after the run
   std::string trace_out; // Chrome trace-event JSON path; empty = none
-  /// SAR evaluation kernel (--kernel exact|fast|auto). Benches default to
+  /// SAR evaluation kernel (--kernel exact|fast). Benches default to
   /// fast — they measure perf, not goldens; pass --kernel exact to compare
   /// against the seed's libm loop.
   localize::SarKernel kernel = localize::SarKernel::kFast;
@@ -135,7 +135,7 @@ struct CliOptions {
       } else if (arg == "--kernel" && (value = value_of(i))) {
         if (!localize::parse_sar_kernel(value, kernel)) {
           return fail({StatusCode::kParseError,
-                       "--kernel wants exact|fast|auto, got '" +
+                       "--kernel wants exact|fast, got '" +
                            std::string(value) + "'"});
         }
         kernel_explicit = true;
@@ -178,7 +178,7 @@ struct CliOptions {
   static void usage(const char* argv0) {
     std::fprintf(stderr,
                  "usage: %s [--seed N] [--trials N] [--threads N] "
-                 "[--kernel exact|fast|auto] "
+                 "[--kernel exact|fast] "
                  "[--search exact|incremental|coarse2fine] "
                  "[--batch batched|per-mission] [--cache-capacity N] "
                  "[--out FILE] "

@@ -43,7 +43,7 @@ void run_scene(const char* title, int shelf_rows, std::uint64_t seed,
   const auto plan = drone::linear_trajectory({0.0, -0.4, 1.0}, {2.8, -0.35, 1.0}, 50);
   const auto flight =
       drone::fly(plan, drone::FlightConfig{}, drone::optitrack_tracking(), rng);
-  const auto measurements = system.collect_measurements(flight, tag, rng);
+  const auto measurements = system.collect_measurements(flight, tag, rng).value_or({});
   std::printf("measurements: %zu\n", measurements.size());
 
   localize::LocalizerConfig loc;
@@ -179,7 +179,7 @@ std::string search_sweep_3d(std::uint64_t seed) {
   }
   const auto flight =
       drone::fly(plan, drone::FlightConfig{}, drone::optitrack_tracking(), rng);
-  const auto measurements = system.collect_measurements(flight, tag, rng);
+  const auto measurements = system.collect_measurements(flight, tag, rng).value_or({});
 
   localize::Volume vol;
   vol.x_min = tag.x - 1.5;
@@ -261,7 +261,7 @@ void kernel_thread_sweep(std::uint64_t seed) {
   const auto plan = drone::linear_trajectory({0.0, -0.4, 1.0}, {2.8, -0.35, 1.0}, 50);
   const auto flight =
       drone::fly(plan, drone::FlightConfig{}, drone::optitrack_tracking(), rng);
-  const auto measurements = system.collect_measurements(flight, tag, rng);
+  const auto measurements = system.collect_measurements(flight, tag, rng).value_or({});
   const auto iso = localize::disentangle(measurements);
   const double freq = sys_cfg.carrier_hz + sys_cfg.freq_shift_hz;
   const localize::GridSpec grid{-0.5, 3.0, -0.5, 2.0, 0.02};

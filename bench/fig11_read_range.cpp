@@ -25,14 +25,19 @@ int main() {
     const auto p_los = run_read_rate_point(los, d, 100 + static_cast<std::uint64_t>(d));
     const auto p_nlos =
         run_read_rate_point(nlos, d, 200 + static_cast<std::uint64_t>(d));
+    if (!p_los || !p_nlos) {
+      std::fprintf(stderr, "read-rate point failed: %s\n",
+                   (p_los ? p_nlos : p_los).status().to_string().c_str());
+      return 1;
+    }
     std::printf("  %10.0f   %10.0f   %11.0f   %12.0f\n", d,
-                100.0 * p_los.read_rate_no_relay, 100.0 * p_los.read_rate_with_relay,
-                100.0 * p_nlos.read_rate_with_relay);
-    if (p_los.read_rate_no_relay < 0.05 && crossover_no_relay == 0.0) {
+                100.0 * p_los->read_rate_no_relay, 100.0 * p_los->read_rate_with_relay,
+                100.0 * p_nlos->read_rate_with_relay);
+    if (p_los->read_rate_no_relay < 0.05 && crossover_no_relay == 0.0) {
       crossover_no_relay = d;
     }
-    if (d == 50.0) relay_at_50 = p_los.read_rate_with_relay;
-    if (d == 55.0) nlos_at_55 = p_nlos.read_rate_with_relay;
+    if (d == 50.0) relay_at_50 = p_los->read_rate_with_relay;
+    if (d == 55.0) nlos_at_55 = p_nlos->read_rate_with_relay;
   }
 
   std::printf("\n");

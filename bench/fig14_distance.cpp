@@ -62,9 +62,9 @@ int main(int argc, char** argv) {
       const auto result = run_localization_trial(
           cfg, 7000 + static_cast<std::uint64_t>(t) * 17 +
                    static_cast<std::uint64_t>(projected));
-      if (!result.localized) continue;
-      sar.push_back(result.sar_error_m);
-      rssi.push_back(result.rssi_error_m);
+      if (!result) continue;
+      sar.push_back(result->sar_error_m);
+      rssi.push_back(result->rssi_error_m);
 
       channel::Environment env;
       RflySystem probe(cfg.system, env, cfg.reader_position);

@@ -39,7 +39,8 @@ int main(int argc, char** argv) {
       }
       const auto flight =
           drone::fly(plan, drone::FlightConfig{}, drone::optitrack_tracking(), rng);
-      const auto measurements = system.collect_measurements(flight, tag, rng);
+      const auto measurements =
+          system.collect_measurements(flight, tag, rng).value_or({});
       if (measurements.size() < 5) continue;
 
       localize::Volume vol;

@@ -40,8 +40,9 @@ AdaptiveSurveyResult adaptive_localize(const RflySystem& system,
 
   const auto flight =
       drone::fly(initial_plan, config.flight, config.tracking, rng);
-  auto measurements = system.collect_measurements(flight, tag_position, rng);
-  if (measurements.size() < 3) return result;
+  auto collected = system.collect_measurements(flight, tag_position, rng);
+  if (!collected || collected->size() < 3) return result;
+  localize::MeasurementSet measurements = std::move(collected.value());
 
   // Initial estimate, searched around the measurement centroid.
   Vec3 centroid{0, 0, 0};
@@ -88,11 +89,11 @@ AdaptiveSurveyResult adaptive_localize(const RflySystem& system,
       drone::fly(leg_plan, config.flight, config.tracking, rng);
   const auto leg_measurements =
       system.collect_measurements(leg_flight, tag_position, rng);
-  if (leg_measurements.size() < 3) return result;
+  if (!leg_measurements || leg_measurements->size() < 3) return result;
   result.refinement_flown = true;
 
-  measurements.insert(measurements.end(), leg_measurements.begin(),
-                      leg_measurements.end());
+  measurements.insert(measurements.end(), leg_measurements->begin(),
+                      leg_measurements->end());
   const auto second = localize::localize_2d(
       measurements,
       make_localizer(config, system.config(), result.estimate.x,

@@ -1,17 +1,17 @@
 // Measurement-synthesis plane: per-flight hoisted forward-channel state
 // (the measure-stage analogue of the batch runner's localization plane).
 //
-// The scalar measure stage re-derives every per-waypoint quantity — the
-// reader↔relay channel h1, the capped downlink drive, the effective
+// The seed's scalar measure loop re-derived every per-waypoint quantity —
+// the reader↔relay channel h1, the capped downlink drive, the effective
 // downlink gain, the embedded-tag channel — roughly five times per flight
 // point *per tag* through the RflySystem call graph. All of it depends only
 // on the flight and the system, not the tag. A ForwardPlane computes each
 // exactly once per flight:
 //
 //   - exact mode reads the hoisted values back through expressions
-//     identical to the scalar path's, so results are bit-identical to the
+//     identical to the seed loop's, so results are bit-identical to the
 //     seed (the plane stores results of the same public methods, called
-//     once); pinned by the `measure` parity matrix in
+//     once); pinned against a test-local copy of that loop in
 //     tests/test_measure_plane.cpp.
 //   - fast mode additionally feeds the plane's linear-domain mirrors to the
 //     multiversioned forward kernels (forward_kernel.h), which synthesize
@@ -62,9 +62,8 @@ struct ForwardPlane {
   std::size_t size() const { return px.size(); }
 
   /// Hoist the flight once: calls the same public RflySystem methods the
-  /// scalar collect loop calls, one evaluation per waypoint, so every
-  /// stored value is bit-identical to what the scalar path would have
-  /// recomputed. Bumps the `measure.plane.channel_evals` obs counter by
+  /// seed's scalar collect loop called, one evaluation per waypoint, so
+  /// every stored value is bit-identical to what that loop recomputed. Bumps the `measure.plane.channel_evals` obs counter by
   /// the flight size — the per-waypoint channel evaluations this build
   /// performs, charged once per flight instead of once per (point, tag).
   static ForwardPlane build(const RflySystem& system,

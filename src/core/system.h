@@ -14,7 +14,6 @@
 #pragma once
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "channel/channel_model.h"
@@ -148,24 +147,13 @@ class RflySystem {
   /// Collect localization measurements along a flown trajectory. Channels
   /// are computed at each point's *actual* position; the measurement
   /// records the *reported* position — the tracking error enters exactly
-  /// where it would in the real system.
+  /// where it would in the real system. Fails with kEmptyFlightPlan when the
+  /// flight has no points and kInsufficientData (with how many points were
+  /// tried) when the tag is unpowered or undecodable at every point.
   ///
-  /// Legacy-wrapper contract: this is the untyped adapter around
-  /// try_collect_measurements for callers that predate Status/Expected. It
-  /// maps EVERY failure (kEmptyFlightPlan, kInsufficientData) to an empty
-  /// MeasurementSet — the typed Status is dropped, not surfaced. Each drop
-  /// bumps the `measure.synth.failures` obs counter so swallowed statuses
-  /// are at least visible in metrics; callers that care which failure
-  /// occurred must use try_collect_measurements directly. The measurement
-  /// values and rng consumption are identical between the two.
-  localize::MeasurementSet collect_measurements(
-      const std::vector<drone::FlownPoint>& flight, const Vec3& tag_pos,
-      Rng& rng) const;
-
-  /// Typed-error variant of collect_measurements: kEmptyFlightPlan when the
-  /// flight has no points, kInsufficientData (with how many points were
-  /// powered/decodable) when every point was dropped. The measurement values
-  /// and rng consumption are identical to collect_measurements.
+  /// This overload builds a ForwardPlane for `flight` and runs the exact
+  /// plane-backed collect below; callers that collect several tags over one
+  /// flight should build (or cache) the plane once and call that overload.
   ///
   /// RNG contract (pinned by the draw-order golden in
   /// tests/test_measure_plane.cpp): no shadowing is drawn here; for each
@@ -173,20 +161,20 @@ class RflySystem {
   /// gaussians (amplitude dB, then phase rad — only when either ripple std
   /// is > 0) followed by four noise gaussians (target re/im, embedded
   /// re/im — only when the estimate sigma is > 0) are consumed, in flight
-  /// order; skipped points draw nothing. The plane-backed overloads below
-  /// preserve this sequence exactly — all channel math is RNG-free.
-  Expected<localize::MeasurementSet> try_collect_measurements(
+  /// order; skipped points draw nothing. Every overload keeps this
+  /// sequence — all channel math is RNG-free.
+  Expected<localize::MeasurementSet> collect_measurements(
       const std::vector<drone::FlownPoint>& flight, const Vec3& tag_pos,
       Rng& rng) const;
 
-  /// Plane-backed exact collect: identical loop, with every per-waypoint
-  /// quantity (reader↔relay channel, capped downlink drive, downlink gain,
-  /// embedded channel) read from a ForwardPlane built once per flight
-  /// instead of being re-derived ~5× per point per tag. Bit-identical to
-  /// the scalar overload above — the plane stores values produced by the
-  /// same expressions, evaluated once (pinned by the `measure` parity
-  /// matrix).
-  Expected<localize::MeasurementSet> try_collect_measurements(
+  /// Plane-backed exact collect: every per-waypoint quantity (reader↔relay
+  /// channel, capped downlink drive, downlink gain, embedded channel) is
+  /// read from a ForwardPlane built once per flight instead of being
+  /// re-derived ~5× per point per tag. Bit-identical to the seed's scalar
+  /// loop — the plane stores values produced by the same expressions,
+  /// evaluated once (pinned against a test-local copy of that loop by the
+  /// `measure` parity matrix).
+  Expected<localize::MeasurementSet> collect_measurements(
       const std::vector<drone::FlownPoint>& flight, const Vec3& tag_pos,
       Rng& rng, const ForwardPlane& plane) const;
 
@@ -195,7 +183,7 @@ class RflySystem {
   /// across waypoints). Mathematically equivalent but not bit-identical to
   /// the exact path; opt-in via measure.plane=fast. Draw order is still the
   /// exact sequence documented above — synthesis is RNG-free.
-  Expected<localize::MeasurementSet> try_collect_measurements(
+  Expected<localize::MeasurementSet> collect_measurements(
       const std::vector<drone::FlownPoint>& flight, Rng& rng,
       const ForwardPlane& plane, const SynthChannels& synth) const;
 

@@ -28,7 +28,7 @@ obs::Histogram& c2f_refined_cells() {
 Peak scan_patch(const SarGeometry& geo, SarKernel kernel,
                 const std::vector<double>& xs, const std::vector<double>& ys,
                 double z_plane, Peak best) {
-  const bool fast = resolve_sar_kernel(kernel) == SarKernel::kFast;
+  const bool fast = kernel == SarKernel::kFast;
   ExactRowEvaluator exact(geo);
   for (double y : ys) {
     if (!fast) exact.evaluate(xs.data(), xs.size(), y, z_plane);
@@ -218,9 +218,17 @@ GridSpec localize_scan_grid(const LocalizerConfig& config) {
 }
 
 Status validate_grid(const GridSpec& grid) {
-  if (!(grid.resolution_m > 0.0)) {
+  if (!std::isfinite(grid.x_min) || !std::isfinite(grid.x_max) ||
+      !std::isfinite(grid.y_min) || !std::isfinite(grid.y_max)) {
     return {StatusCode::kDegenerateGrid,
-            "grid resolution must be positive, got " +
+            "grid bounds must be finite: x=[" + std::to_string(grid.x_min) +
+                ", " + std::to_string(grid.x_max) + "] y=[" +
+                std::to_string(grid.y_min) + ", " + std::to_string(grid.y_max) +
+                "]"};
+  }
+  if (!(grid.resolution_m > 0.0) || !std::isfinite(grid.resolution_m)) {
+    return {StatusCode::kDegenerateGrid,
+            "grid resolution must be positive and finite, got " +
                 std::to_string(grid.resolution_m)};
   }
   if (grid.x_max < grid.x_min) {
@@ -236,15 +244,8 @@ Status validate_grid(const GridSpec& grid) {
   return Status::ok();
 }
 
-std::optional<LocalizationResult> localize_2d(const MeasurementSet& measurements,
-                                              const LocalizerConfig& config) {
-  auto result = localize_2d_checked(measurements, config);
-  if (!result.ok()) return std::nullopt;
-  return std::move(result.value());
-}
-
-Expected<LocalizationResult> localize_2d_checked(const MeasurementSet& measurements,
-                                                 const LocalizerConfig& config) {
+Expected<LocalizationResult> localize_2d(const MeasurementSet& measurements,
+                                         const LocalizerConfig& config) {
   const DisentangledSet set = disentangle(measurements);
   return localize_2d_from(set, config)
       .with_context("localize_2d over " + std::to_string(measurements.size()) +
@@ -307,16 +308,6 @@ Expected<LocalizationResult> localize_2d_with_plane(const DisentangledSet& set,
     return localize_2d_coarse2fine(set, config, map, threads);
   }
   return finish_from_map(set, config, map, threads);
-}
-
-std::optional<Localization3dResult> localize_3d(const MeasurementSet& measurements,
-                                                const Volume& volume, double freq_hz,
-                                                unsigned threads, SarKernel kernel) {
-  Localize3dConfig config;
-  config.freq_hz = freq_hz;
-  config.threads = threads;
-  config.kernel = kernel;
-  return localize_3d(measurements, volume, config);
 }
 
 namespace {
@@ -552,13 +543,32 @@ Localization3dResult scan_volume_coarse2fine(const SarGeometry& geo,
 
 }  // namespace
 
-std::optional<Localization3dResult> localize_3d(const MeasurementSet& measurements,
-                                                const Volume& volume,
-                                                const Localize3dConfig& config) {
+Expected<Localization3dResult> localize_3d(const MeasurementSet& measurements,
+                                           const Volume& volume,
+                                           const Localize3dConfig& config) {
   obs::Span span("localize.3d");
+  // Validate before counting cells: grid_axis_cells floors an unchecked
+  // quotient, which is undefined for a negative or non-finite extent.
+  if (Status grid_status = validate_grid({volume.x_min, volume.x_max,
+                                          volume.y_min, volume.y_max,
+                                          volume.resolution_m});
+      !grid_status.is_ok()) {
+    return grid_status.with_context("localize_3d volume");
+  }
+  if (!std::isfinite(volume.z_min) || !std::isfinite(volume.z_max) ||
+      volume.z_max < volume.z_min) {
+    return Status{StatusCode::kDegenerateGrid,
+                  "volume z range is empty or non-finite: z_min=" +
+                      std::to_string(volume.z_min) +
+                      " z_max=" + std::to_string(volume.z_max)};
+  }
   const unsigned threads = clamp_thread_count(config.threads);
   const DisentangledSet set = disentangle(measurements);
-  if (set.channels.empty()) return std::nullopt;
+  if (set.channels.empty()) {
+    return Status{StatusCode::kNoReference,
+                  "disentanglement left no measurements (embedded-tag "
+                  "reference too weak on every sample)"};
+  }
   const SarGeometry geo = SarGeometry::from(set, config.freq_hz);
 
   const double res = volume.resolution_m;
@@ -582,7 +592,9 @@ std::optional<Localization3dResult> localize_3d(const MeasurementSet& measuremen
       best = scan_volume_exact(geo, volume, nx, ny, nz, config.kernel, threads);
       break;
   }
-  if (best.peak_value < 0.0) return std::nullopt;
+  if (best.peak_value < 0.0) {
+    return Status{StatusCode::kNoPeaks, "no volume cell produced a peak"};
+  }
   return best;
 }
 

@@ -3,8 +3,6 @@
 // pipeline behind Figs. 6, 12, 13, 14.
 #pragma once
 
-#include <optional>
-
 #include "common/status.h"
 #include "localize/measurement.h"
 #include "localize/peak.h"
@@ -56,23 +54,17 @@ struct LocalizationResult {
   std::size_t measurements_used = 0;
 };
 
-/// Localize one tag from its measurement set. Returns nullopt when no
-/// usable measurements survive disentanglement. Thin wrapper over
-/// localize_2d_checked that discards the failure reason (legacy API).
-std::optional<LocalizationResult> localize_2d(const MeasurementSet& measurements,
-                                              const LocalizerConfig& config);
-
-/// Typed-error variant of localize_2d. Fails with kDegenerateGrid when the
-/// search window has no cells, kNoReference when disentanglement drops every
-/// measurement (no usable embedded-tag channel to divide by), and kNoPeaks
-/// when the heatmap has no candidate above the threshold fraction. Results
-/// are bit-identical to localize_2d whenever that succeeds.
-Expected<LocalizationResult> localize_2d_checked(const MeasurementSet& measurements,
-                                                 const LocalizerConfig& config);
+/// Localize one tag from its measurement set. Fails with kDegenerateGrid
+/// when the search window has no cells, kNoReference when disentanglement
+/// drops every measurement (no usable embedded-tag channel to divide by),
+/// and kNoPeaks when the heatmap has no candidate above the threshold
+/// fraction.
+Expected<LocalizationResult> localize_2d(const MeasurementSet& measurements,
+                                         const LocalizerConfig& config);
 
 /// Stage-level entry: localize an already-disentangled half-link set (the
 /// mission pipeline times disentanglement and SAR search as separate
-/// stages). Same error vocabulary as localize_2d_checked minus the
+/// stages). Same error vocabulary as localize_2d minus the
 /// disentanglement step.
 Expected<LocalizationResult> localize_2d_from(const DisentangledSet& set,
                                               const LocalizerConfig& config);
@@ -96,8 +88,9 @@ Expected<LocalizationResult> localize_2d_with_plane(const DisentangledSet& set,
                                                     const LocalizerConfig& config,
                                                     const Heatmap& map);
 
-/// Validate a search grid: positive resolution and non-empty extent on both
-/// axes. Returns kDegenerateGrid with the offending numbers otherwise.
+/// Validate a search grid: finite bounds, a finite positive resolution and
+/// a non-empty extent on both axes. Returns kDegenerateGrid with the
+/// offending numbers otherwise.
 Status validate_grid(const GridSpec& grid);
 
 /// 3D extension (Section 5.2): grid search over a volume; meaningful when
@@ -114,16 +107,10 @@ struct Localization3dResult {
   double peak_value = 0.0;
 };
 
-/// `threads` and `kernel` as in LocalizerConfig: the volume is sharded by
-/// z-slice; each slice keeps its own argmax and the slices reduce in fixed
-/// z order, so the result matches the serial scan at any thread count.
-std::optional<Localization3dResult> localize_3d(const MeasurementSet& measurements,
-                                                const Volume& volume, double freq_hz,
-                                                unsigned threads = 0,
-                                                SarKernel kernel = SarKernel::kExact);
-
-/// Full-knob 3D search configuration. The legacy overload above forwards
-/// here with search = kExact.
+/// 3D search configuration. `threads` and `kernel` as in LocalizerConfig:
+/// the volume is sharded by z-slice; each slice keeps its own argmax and the
+/// slices reduce in fixed z order, so the result matches the serial scan at
+/// any thread count.
 struct Localize3dConfig {
   double freq_hz = 915e6;
   unsigned threads = 0;
@@ -146,8 +133,12 @@ struct Localize3dConfig {
   int refine_top_k = 16;
 };
 
-std::optional<Localization3dResult> localize_3d(const MeasurementSet& measurements,
-                                                const Volume& volume,
-                                                const Localize3dConfig& config);
+/// Fails with kDegenerateGrid when the volume is not a valid grid (checked
+/// before any cell is counted or allocated), kNoReference when
+/// disentanglement drops every measurement, and kNoPeaks when no cell is
+/// evaluated.
+Expected<Localization3dResult> localize_3d(const MeasurementSet& measurements,
+                                           const Volume& volume,
+                                           const Localize3dConfig& config);
 
 }  // namespace rfly::localize

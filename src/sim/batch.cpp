@@ -223,9 +223,7 @@ std::uint64_t plane_digest(const TaskEntry& entry,
   state = digest_grid_spec(state, scan_grid);
   state = digest_double(state, entry.config.freq_hz);
   state = digest_double(state, entry.config.z_plane_m);
-  return digest_word(
-      state,
-      static_cast<std::uint64_t>(localize::resolve_sar_kernel(entry.config.kernel)));
+  return digest_word(state, static_cast<std::uint64_t>(entry.config.kernel));
 }
 
 bool planes_eq(const TaskEntry& a, const TaskEntry& b) {
@@ -233,8 +231,7 @@ bool planes_eq(const TaskEntry& a, const TaskEntry& b) {
                   localize::localize_scan_grid(b.config)) &&
          bits_eq(a.config.freq_hz, b.config.freq_hz) &&
          bits_eq(a.config.z_plane_m, b.config.z_plane_m) &&
-         localize::resolve_sar_kernel(a.config.kernel) ==
-             localize::resolve_sar_kernel(b.config.kernel) &&
+         a.config.kernel == b.config.kernel &&
          a.set.positions.size() == b.set.positions.size() &&
          (a.set.positions.empty() ||
           std::memcmp(a.set.positions.data(), b.set.positions.data(),

@@ -206,7 +206,7 @@ Expected<MissionRun> run_mission_pipeline(const core::ScanMissionConfig& config,
   }
 
   // NOTE on determinism: everything below draws from this one Rng in the
-  // same order as the legacy run_scan_mission (fly, then per tag:
+  // same order as the seed's scan mission (fly, then per tag:
   // inventory round, then channel collection). Stages time the work; they
   // must not reorder it, or the report stops being bit-identical.
   Rng rng(seed);
@@ -233,18 +233,17 @@ Expected<MissionRun> run_mission_pipeline(const core::ScanMissionConfig& config,
   // per flight — shared across every tag below, and across missions flying
   // the same flight through the same system via the global plane cache.
   // Entirely RNG-free, so the mission Rng sequence (and with it the report)
-  // is untouched; `off` skips the hoist and keeps the seed's scalar loop.
-  const core::MeasurePlane plane_mode =
-      core::resolve_measure_plane(config.measure_plane);
+  // is untouched. validate_mission guarantees a non-empty flight and tag
+  // population, so every tag below collects against this plane.
+  const bool fast_plane = config.measure_plane == core::MeasurePlane::kFast;
   std::shared_ptr<const core::ForwardPlane> plane;
   std::vector<core::SynthChannels> synth;
-  if (plane_mode != core::MeasurePlane::kOff && !flight.empty() &&
-      !tags.empty()) {
+  {
     StageTimer timer(run.trace, Stage::kMeasure);
     plane = core::global_forward_plane_cache().get_or_build(
         core::plane_key(system, flight),
         [&] { return core::ForwardPlane::build(system, flight); });
-    if (plane_mode == core::MeasurePlane::kFast) {
+    if (fast_plane) {
       std::vector<Vec3> positions;
       positions.reserve(tags.size());
       for (const auto& placement : tags) positions.push_back(placement.position);
@@ -322,11 +321,10 @@ Expected<MissionRun> run_mission_pipeline(const core::ScanMissionConfig& config,
     {
       StageTimer timer(run.trace, Stage::kMeasure);
       auto collected =
-          !plane ? system.try_collect_measurements(flight, tags[i].position, rng)
-          : plane_mode == core::MeasurePlane::kFast
-              ? system.try_collect_measurements(flight, rng, *plane, synth[i])
-              : system.try_collect_measurements(flight, tags[i].position, rng,
-                                                *plane);
+          fast_plane
+              ? system.collect_measurements(flight, rng, *plane, synth[i])
+              : system.collect_measurements(flight, tags[i].position, rng,
+                                            *plane);
       if (!collected) {
         item.status =
             collected.status().with_context("tag " + std::to_string(i));
@@ -566,29 +564,3 @@ Expected<MissionRun> run_scenario(const Scenario& scenario, std::uint64_t seed) 
 }
 
 }  // namespace rfly::sim
-
-namespace rfly::core {
-
-// Legacy entry point (declared in core/scan_mission.h): a thin adapter over
-// the staged pipeline that discards the stage trace. On mission-level error
-// it preserves the legacy contract as far as one existed: an empty-tag
-// mission still reports the flight length; an empty flight plan (which the
-// legacy code crashed on) yields an empty report.
-ScanReport run_scan_mission(const ScanMissionConfig& config,
-                            const channel::Environment& environment,
-                            const Vec3& reader_position,
-                            const std::vector<Vec3>& flight_plan,
-                            std::vector<TagPlacement>& tags,
-                            const InventoryDatabase& database,
-                            std::uint64_t seed) {
-  auto run = sim::run_mission_pipeline(config, environment, reader_position,
-                                       flight_plan, tags, database, seed);
-  if (!run) {
-    ScanReport report;
-    report.flight_length_m = drone::trajectory_length(flight_plan);
-    return report;
-  }
-  return std::move(run->report);
-}
-
-}  // namespace rfly::core

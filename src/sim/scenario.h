@@ -104,9 +104,8 @@ struct Scenario {
   unsigned localize_threads = 0;
   localize::SarKernel sar_kernel = localize::SarKernel::kExact;
   localize::SarSearch sar_search = localize::SarSearch::kExact;
-  /// Measurement-synthesis plane (`measure.plane = off|exact|fast|auto`);
-  /// auto resolves to exact, which is bit-identical to off.
-  core::MeasurePlane measure_plane = core::MeasurePlane::kAuto;
+  /// Measurement-synthesis plane (`measure.plane = exact|fast`).
+  core::MeasurePlane measure_plane = core::MeasurePlane::kExact;
 
   /// Fault model (`faults.*` keys). All rates default to zero: a scenario
   /// without faults keys runs bit-identically to one predating the layer.

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include "bench_util.h"
 
@@ -85,6 +90,55 @@ TEST(CliOptions, SearchFlagRejectsUnknownModeAndMissingValue) {
   CliOptions opts2;
   EXPECT_FALSE(opts2.parse(2, argv2));
 }
+
+TEST(CliOptions, KernelFlagAcceptsExactAndFastOnly) {
+  char prog[] = "bench";
+  char flag[] = "--kernel";
+  char exact[] = "exact";
+  char* argv[] = {prog, flag, exact};
+  CliOptions opts;
+  EXPECT_EQ(opts.kernel, localize::SarKernel::kFast);  // bench default
+  ASSERT_TRUE(opts.parse(3, argv));
+  EXPECT_EQ(opts.kernel, localize::SarKernel::kExact);
+  EXPECT_TRUE(opts.kernel_explicit);
+
+  // `auto` is no longer a kernel: parse error naming the flag, then usage.
+  char auto_mode[] = "auto";
+  char* argv2[] = {prog, flag, auto_mode};
+  CliOptions opts2;
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(opts2.parse(3, argv2));
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("--kernel wants exact|fast, got 'auto'"), std::string::npos)
+      << err;
+  EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+  EXPECT_EQ(opts2.kernel, localize::SarKernel::kFast);  // never clobbered
+  EXPECT_FALSE(opts2.kernel_explicit);
+}
+
+#ifdef RFLY_SCENARIO_RUNNER_PATH
+// The removed kernel/plane modes are command-line errors end to end:
+// scenario_runner prints the typed error and usage, and exits 2.
+TEST(ScenarioRunnerCli, RemovedModesExitTwoWithUsage) {
+  const std::string err_path = ::testing::TempDir() + "/rfly_cli_err.txt";
+  for (const char* args :
+       {"--kernel auto", "--set localize.sar_kernel=auto",
+        "--set measure.plane=off", "--set measure.plane=auto"}) {
+    const std::string command = std::string(RFLY_SCENARIO_RUNNER_PATH) +
+                                " --scenario building --trials 1 " + args +
+                                " > /dev/null 2> " + err_path;
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << command;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << command;
+    std::ifstream in(err_path);
+    const std::string err((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+    EXPECT_NE(err.find("PARSE_ERROR"), std::string::npos) << command << ": " << err;
+    EXPECT_NE(err.find("usage:"), std::string::npos) << command << ": " << err;
+  }
+  std::remove(err_path.c_str());
+}
+#endif
 
 TEST(Metrics, WriteCheckedReportsTypedIoError) {
   Metrics metrics;

@@ -83,11 +83,11 @@ TEST_P(CoarseToFine3d, PeakWithinHalfCellOfBruteForce) {
   cfg.threads = 1;
   cfg.search = SarSearch::kExact;
   const auto brute = localize_3d(measurements, vol, cfg);
-  ASSERT_TRUE(brute.has_value());
+  ASSERT_TRUE(brute.ok());
 
   cfg.search = SarSearch::kCoarseToFine;
   const auto c2f = localize_3d(measurements, vol, cfg);
-  ASSERT_TRUE(c2f.has_value());
+  ASSERT_TRUE(c2f.ok());
 
   const double half = vol.resolution_m / 2.0;
   EXPECT_NEAR(c2f->position.x, brute->position.x, half);
@@ -112,7 +112,7 @@ TEST_P(CoarseToFine3d, ErrorNeverWorseThanExactByMoreThanTenthCell) {
   const auto err = [&](SarSearch search) {
     cfg.search = search;
     const auto result = localize_3d(measurements, vol, cfg);
-    EXPECT_TRUE(result.has_value());
+    EXPECT_TRUE(result.ok());
     if (!result) return 1e300;
     const auto& p = result->position;
     return std::sqrt((p.x - tag.x) * (p.x - tag.x) +
@@ -140,7 +140,7 @@ TEST_P(CoarseToFine3d, StrideAndTopKKnobsStillCoverTheArgmax) {
   cfg.threads = 1;
   cfg.search = SarSearch::kExact;
   const auto brute = localize_3d(measurements, vol, cfg);
-  ASSERT_TRUE(brute.has_value());
+  ASSERT_TRUE(brute.ok());
 
   // Strides that keep the coarse spacing at or under the SAR main-lobe
   // width (see Localize3dConfig::coarse_stride): wider strides are a
@@ -151,7 +151,7 @@ TEST_P(CoarseToFine3d, StrideAndTopKKnobsStillCoverTheArgmax) {
       cfg.coarse_stride = stride;
       cfg.refine_top_k = top_k;
       const auto c2f = localize_3d(measurements, vol, cfg);
-      ASSERT_TRUE(c2f.has_value()) << "stride " << stride << " top_k " << top_k;
+      ASSERT_TRUE(c2f.ok()) << "stride " << stride << " top_k " << top_k;
       EXPECT_NEAR(c2f->position.x, brute->position.x, vol.resolution_m / 2.0)
           << "stride " << stride << " top_k " << top_k;
       EXPECT_NEAR(c2f->position.y, brute->position.y, vol.resolution_m / 2.0)
@@ -180,7 +180,7 @@ TEST(CoarseToFineDegenerate, SingleCellVolume) {
                            SarSearch::kCoarseToFine}) {
     cfg.search = search;
     const auto result = localize_3d(measurements, vol, cfg);
-    ASSERT_TRUE(result.has_value()) << sar_search_name(search);
+    ASSERT_TRUE(result.ok()) << sar_search_name(search);
     EXPECT_DOUBLE_EQ(result->position.x, tag.x) << sar_search_name(search);
     EXPECT_DOUBLE_EQ(result->position.y, tag.y) << sar_search_name(search);
     EXPECT_DOUBLE_EQ(result->position.z, tag.z) << sar_search_name(search);
@@ -203,10 +203,10 @@ TEST(CoarseToFineDegenerate, SingleRowVolumeMatchesBruteForce) {
   cfg.threads = 1;
   cfg.search = SarSearch::kExact;
   const auto brute = localize_3d(measurements, vol, cfg);
-  ASSERT_TRUE(brute.has_value());
+  ASSERT_TRUE(brute.ok());
   cfg.search = SarSearch::kCoarseToFine;
   const auto c2f = localize_3d(measurements, vol, cfg);
-  ASSERT_TRUE(c2f.has_value());
+  ASSERT_TRUE(c2f.ok());
   EXPECT_DOUBLE_EQ(c2f->position.x, brute->position.x);
   EXPECT_DOUBLE_EQ(c2f->peak_value, brute->peak_value);
 }
@@ -228,13 +228,13 @@ TEST(CoarseToFineDegenerate, TopKLargerThanCellCount) {
   cfg.threads = 1;
   cfg.search = SarSearch::kExact;
   const auto brute = localize_3d(measurements, vol, cfg);
-  ASSERT_TRUE(brute.has_value());
+  ASSERT_TRUE(brute.ok());
 
   cfg.search = SarSearch::kCoarseToFine;
   cfg.refine_top_k = 10000;  // far more candidates than cells
   cfg.coarse_stride = 100;   // stride past every axis: endpoints only
   const auto c2f = localize_3d(measurements, vol, cfg);
-  ASSERT_TRUE(c2f.has_value());
+  ASSERT_TRUE(c2f.ok());
   EXPECT_NEAR(c2f->position.x, brute->position.x, vol.resolution_m / 2.0);
   EXPECT_NEAR(c2f->position.y, brute->position.y, vol.resolution_m / 2.0);
   EXPECT_NEAR(c2f->position.z, brute->position.z, vol.resolution_m / 2.0);
@@ -255,11 +255,11 @@ TEST(CoarseToFine2d, HighestPeakMatchesFullSweep) {
   cfg.multires = false;
   cfg.search = SarSearch::kExact;
   const auto full = localize_2d(measurements, cfg);
-  ASSERT_TRUE(full.has_value());
+  ASSERT_TRUE(full.ok());
 
   cfg.search = SarSearch::kCoarseToFine;
   const auto c2f = localize_2d(measurements, cfg);
-  ASSERT_TRUE(c2f.has_value());
+  ASSERT_TRUE(c2f.ok());
   EXPECT_NEAR(c2f->x, full->x, cfg.grid.resolution_m / 2.0);
   EXPECT_NEAR(c2f->y, full->y, cfg.grid.resolution_m / 2.0);
   EXPECT_LE(c2f->peak_value, full->peak_value * (1.0 + 1e-12));

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "channel/path_loss.h"
@@ -407,7 +409,7 @@ TEST(Localizer, EndToEndCleanScene) {
   cfg.grid.y_max = 2;
   cfg.grid.resolution_m = 0.01;
   const auto result = localize_2d(set, cfg);
-  ASSERT_TRUE(result.has_value());
+  ASSERT_TRUE(result.ok());
   EXPECT_NEAR(std::hypot(result->x - tag.x, result->y - tag.y), 0.0, 0.05);
   EXPECT_EQ(result->measurements_used, 40u);
 }
@@ -438,8 +440,8 @@ TEST(Localizer, MultipathGhostRejected) {
   const auto naive = localize_2d(set, cfg);
   cfg.selection = PeakSelection::kNearestToTrajectory;
   const auto rfly = localize_2d(set, cfg);
-  ASSERT_TRUE(naive.has_value());
-  ASSERT_TRUE(rfly.has_value());
+  ASSERT_TRUE(naive.ok());
+  ASSERT_TRUE(rfly.ok());
 
   const double naive_err = std::hypot(naive->x - tag.x, naive->y - tag.y);
   const double rfly_err = std::hypot(rfly->x - tag.x, rfly->y - tag.y);
@@ -468,14 +470,16 @@ TEST(Localizer, MultiresMatchesFullScan) {
   const auto full = localize_2d(set, cfg);
   cfg.multires = true;
   const auto fast = localize_2d(set, cfg);
-  ASSERT_TRUE(full.has_value());
-  ASSERT_TRUE(fast.has_value());
+  ASSERT_TRUE(full.ok());
+  ASSERT_TRUE(fast.ok());
   EXPECT_NEAR(full->x, fast->x, 0.03);
   EXPECT_NEAR(full->y, fast->y, 0.03);
 }
 
 TEST(Localizer, NoMeasurementsReturnsNullopt) {
-  EXPECT_FALSE(localize_2d({}, LocalizerConfig{}).has_value());
+  const auto result = localize_2d({}, LocalizerConfig{});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kNoReference);
 }
 
 TEST(Localizer, NoisyChannelsStillLocalize) {
@@ -492,7 +496,7 @@ TEST(Localizer, NoisyChannelsStillLocalize) {
   cfg.grid.y_min = -0.5;
   cfg.grid.y_max = 1.5;
   const auto result = localize_2d(set, cfg);
-  ASSERT_TRUE(result.has_value());
+  ASSERT_TRUE(result.ok());
   EXPECT_LT(std::hypot(result->x - tag.x, result->y - tag.y), 0.15);
 }
 
@@ -550,11 +554,66 @@ TEST(Localize3d, RecoversHeightWith2dTrajectory) {
   vol.z_min = 0.0;
   vol.z_max = 1.0;
   vol.resolution_m = 0.05;
-  const auto result = localize_3d(set, vol, kF2);
-  ASSERT_TRUE(result.has_value());
+  Localize3dConfig cfg3d;
+  cfg3d.freq_hz = kF2;
+  const auto result = localize_3d(set, vol, cfg3d);
+  ASSERT_TRUE(result.ok());
   EXPECT_NEAR(result->position.x, tag.x, 0.1);
   EXPECT_NEAR(result->position.y, tag.y, 0.1);
   EXPECT_NEAR(result->position.z, tag.z, 0.15);
+}
+
+TEST(Localizer, InvalidVolumeIsDegenerateGridBeforeAnyWork) {
+  // An empty measurement set: a valid volume fails later with kNoReference,
+  // so kDegenerateGrid proves the volume is rejected before disentanglement
+  // and before any cell is counted or allocated.
+  const Localize3dConfig cfg;
+  const Volume valid;
+  const auto no_reference = localize_3d({}, valid, cfg);
+  ASSERT_FALSE(no_reference.ok());
+  EXPECT_EQ(no_reference.status().code(), StatusCode::kNoReference);
+
+  const double nan = std::nan("");
+  std::vector<std::pair<const char*, Volume>> cases;
+  Volume v = valid;
+  v.z_min = 1.0;
+  v.z_max = 0.0;
+  cases.emplace_back("inverted z", v);
+  v = valid;
+  v.resolution_m = 0.0;
+  cases.emplace_back("zero resolution", v);
+  v = valid;
+  v.resolution_m = nan;
+  cases.emplace_back("NaN resolution", v);
+  v = valid;
+  v.resolution_m = std::numeric_limits<double>::infinity();
+  cases.emplace_back("infinite resolution", v);
+  v = valid;
+  v.x_max = nan;
+  cases.emplace_back("NaN bound", v);
+  v = valid;
+  v.z_max = nan;
+  cases.emplace_back("NaN z bound", v);
+  for (const auto& [name, volume] : cases) {
+    const auto result = localize_3d({}, volume, cfg);
+    ASSERT_FALSE(result.ok()) << name;
+    EXPECT_EQ(result.status().code(), StatusCode::kDegenerateGrid)
+        << name << ": " << result.status().to_string();
+  }
+}
+
+TEST(Localizer, ValidateGridRejectsNonFiniteBounds) {
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(validate_grid({0.0, 1.0, 0.0, 1.0, 0.1}).is_ok());
+  for (const GridSpec& grid :
+       {GridSpec{nan, 1.0, 0.0, 1.0, 0.1}, GridSpec{0.0, nan, 0.0, 1.0, 0.1},
+        GridSpec{0.0, 1.0, nan, 1.0, 0.1}, GridSpec{0.0, 1.0, 0.0, inf, 0.1},
+        GridSpec{-inf, 1.0, 0.0, 1.0, 0.1}, GridSpec{0.0, 1.0, 0.0, 1.0, inf}}) {
+    EXPECT_EQ(validate_grid(grid).code(), StatusCode::kDegenerateGrid)
+        << grid.x_min << " " << grid.x_max << " " << grid.y_min << " "
+        << grid.y_max << " " << grid.resolution_m;
+  }
 }
 
 /// Property sweep: localization error stays small across tag placements.
@@ -573,7 +632,7 @@ TEST_P(SarPlacementProperty, SubCentimeterOnCleanScenes) {
   cfg.grid.y_min = -1;
   cfg.grid.y_max = 2;
   const auto result = localize_2d(set, cfg);
-  ASSERT_TRUE(result.has_value());
+  ASSERT_TRUE(result.ok());
   EXPECT_LT(std::hypot(result->x - tag.x, result->y - tag.y), 0.05);
 }
 

@@ -257,12 +257,12 @@ TEST(LocalizationProperty, TranslationEquivariance) {
     perfect.noise_std_m = 0.0;
     const auto flight = drone::fly(plan, no_jitter, perfect, rng);
     const auto set =
-        sys.collect_measurements(flight, {ox + 10.0, oy + 5.0, 0.0}, rng);
+        sys.collect_measurements(flight, {ox + 10.0, oy + 5.0, 0.0}, rng).value_or({});
     localize::LocalizerConfig loc;
     loc.freq_hz = cfg.carrier_hz + cfg.freq_shift_hz;
     loc.grid = {ox + 8.0, ox + 12.0, oy + 3.5, oy + 6.5, 0.01};
     const auto result = localize::localize_2d(set, loc);
-    EXPECT_TRUE(result.has_value());
+    EXPECT_TRUE(result.ok());
     return std::pair<double, double>{result->x - ox, result->y - oy};
   };
   const auto base = run_scene(0.0, 0.0);
@@ -296,8 +296,9 @@ TEST(LocalizationProperty, DisentanglementRemovesReaderGeometry) {
 
   const auto set_a = near_sys.collect_measurements(flight, {10, 5, 0}, rng1);
   const auto set_b = far_sys.collect_measurements(flight2, {10, 5, 0}, rng2);
-  const auto iso_a = localize::disentangle(set_a);
-  const auto iso_b = localize::disentangle(set_b);
+  ASSERT_TRUE(set_a.ok() && set_b.ok());
+  const auto iso_a = localize::disentangle(*set_a);
+  const auto iso_b = localize::disentangle(*set_b);
   ASSERT_EQ(iso_a.channels.size(), iso_b.channels.size());
   for (std::size_t i = 0; i < iso_a.channels.size(); ++i) {
     // Up to the (common) uplink-gain saturation differences, the isolated

@@ -161,10 +161,10 @@ TEST_P(FastVsExact, RefinedPeakWithinTenthOfResolution) {
   cfg.threads = 1;
   cfg.kernel = SarKernel::kExact;
   const auto exact = localize_2d(measurements, cfg);
-  ASSERT_TRUE(exact.has_value());
+  ASSERT_TRUE(exact.ok());
   cfg.kernel = SarKernel::kFast;
   const auto fast = localize_2d(measurements, cfg);
-  ASSERT_TRUE(fast.has_value());
+  ASSERT_TRUE(fast.ok());
   const double dist = std::hypot(fast->x - exact->x, fast->y - exact->y);
   EXPECT_LT(dist, cfg.grid.resolution_m / 10.0);
 }
@@ -283,7 +283,7 @@ TEST(GridAxisCells, GridSpecAxesDelegate) {
 // --- Kernel knob plumbing -------------------------------------------------
 
 TEST(KernelKnob, NamesRoundTrip) {
-  for (SarKernel k : {SarKernel::kExact, SarKernel::kFast, SarKernel::kAuto}) {
+  for (SarKernel k : {SarKernel::kExact, SarKernel::kFast}) {
     SarKernel parsed{};
     ASSERT_TRUE(parse_sar_kernel(sar_kernel_name(k), parsed));
     EXPECT_EQ(parsed, k);
@@ -294,10 +294,33 @@ TEST(KernelKnob, NamesRoundTrip) {
   EXPECT_FALSE(parse_sar_kernel("fastest", parsed));
 }
 
-TEST(KernelKnob, AutoResolvesToFastOthersUnchanged) {
-  EXPECT_EQ(resolve_sar_kernel(SarKernel::kAuto), SarKernel::kFast);
-  EXPECT_EQ(resolve_sar_kernel(SarKernel::kExact), SarKernel::kExact);
-  EXPECT_EQ(resolve_sar_kernel(SarKernel::kFast), SarKernel::kFast);
+TEST(KernelKnob, AutoIsRejected) {
+  SarKernel parsed = SarKernel::kFast;
+  EXPECT_FALSE(parse_sar_kernel("auto", parsed));
+  EXPECT_EQ(parsed, SarKernel::kFast);  // a failed parse leaves `out` alone
+
+  // Scenario text and --set overrides both reject it with a typed error
+  // naming the key.
+  auto scenario = sim::preset("building");
+  ASSERT_TRUE(scenario.ok());
+  const Status override_status =
+      sim::apply_override(*scenario, "localize.sar_kernel", "auto");
+  EXPECT_EQ(override_status.code(), StatusCode::kParseError);
+  EXPECT_NE(override_status.to_string().find("localize.sar_kernel"),
+            std::string::npos)
+      << override_status.to_string();
+
+  std::string text = sim::serialize(*scenario);
+  const std::string line = "localize.sar_kernel = exact";
+  const auto at = text.find(line);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, line.size(), "localize.sar_kernel = auto");
+  const auto parsed_text = sim::parse_scenario(text);
+  ASSERT_FALSE(parsed_text.ok());
+  EXPECT_EQ(parsed_text.status().code(), StatusCode::kParseError);
+  EXPECT_NE(parsed_text.status().to_string().find("localize.sar_kernel"),
+            std::string::npos)
+      << parsed_text.status().to_string();
 }
 
 TEST(KernelKnob, ScenarioFieldRoundTrips) {
@@ -318,8 +341,8 @@ TEST(KernelKnob, ScenarioFieldRoundTrips) {
 TEST(KernelKnob, ScenarioOverrideParses) {
   auto scenario = sim::preset("building");
   ASSERT_TRUE(scenario.ok());
-  ASSERT_TRUE(sim::apply_override(*scenario, "localize.sar_kernel", "auto").is_ok());
-  EXPECT_EQ(scenario->sar_kernel, SarKernel::kAuto);
+  ASSERT_TRUE(sim::apply_override(*scenario, "localize.sar_kernel", "fast").is_ok());
+  EXPECT_EQ(scenario->sar_kernel, SarKernel::kFast);
   EXPECT_FALSE(
       sim::apply_override(*scenario, "localize.sar_kernel", "bogus").is_ok());
 }

@@ -2,8 +2,8 @@
 
 #include <cmath>
 
-#include "core/scan_mission.h"
 #include "drone/trajectory.h"
+#include "sim/pipeline.h"
 
 namespace rfly::core {
 namespace {
@@ -19,6 +19,16 @@ std::vector<TagPlacement> aisle_tags(int n, double aisle_y) {
   return tags;
 }
 
+/// Run the mission through the staged pipeline and return its report; a
+/// mission-level error fails the test and yields an empty report.
+ScanReport scan(const ScanMissionConfig& cfg, const channel::Environment& env,
+                const std::vector<Vec3>& plan, std::vector<TagPlacement>& tags,
+                const InventoryDatabase& db, std::uint64_t seed) {
+  auto run = sim::run_mission_pipeline(cfg, env, {0.0, 0.0, 2.0}, plan, tags, db, seed);
+  EXPECT_TRUE(run.ok()) << run.status().to_string();
+  return run.ok() ? std::move(run->report) : ScanReport{};
+}
+
 TEST(ScanMission, DiscoversAndLocalizesOpenFloorTags) {
   ScanMissionConfig cfg;
   channel::Environment env;
@@ -30,7 +40,7 @@ TEST(ScanMission, DiscoversAndLocalizesOpenFloorTags) {
 
   const auto plan = drone::linear_trajectory({4.0, 12.0, 1.2}, {24.0, 12.3, 1.2}, 120);
   const auto report =
-      run_scan_mission(cfg, env, {0.0, 0.0, 2.0}, plan, tags, db, 1);
+      scan(cfg, env, plan, tags, db, 1);
 
   EXPECT_EQ(report.discovered, 3u);
   EXPECT_EQ(report.localized, 3u);
@@ -55,7 +65,7 @@ TEST(ScanMission, OutOfRangeTagIsReportedNotLocalized) {
 
   const auto plan = drone::linear_trajectory({6.0, 12.0, 1.2}, {10.0, 12.2, 1.2}, 60);
   const auto report =
-      run_scan_mission(cfg, env, {0.0, 0.0, 2.0}, plan, tags, db, 2);
+      scan(cfg, env, plan, tags, db, 2);
   EXPECT_EQ(report.discovered, 1u);
   EXPECT_FALSE(report.items[1].discovered);
   EXPECT_FALSE(report.items[1].localized);
@@ -68,7 +78,7 @@ TEST(ScanMission, UnknownEpcHasEmptyDescription) {
   auto tags = aisle_tags(1, 10.0);
   const auto plan = drone::linear_trajectory({6.0, 12.0, 1.2}, {10.0, 12.2, 1.2}, 60);
   const auto report =
-      run_scan_mission(cfg, env, {0.0, 0.0, 2.0}, plan, tags, db, 3);
+      scan(cfg, env, plan, tags, db, 3);
   ASSERT_EQ(report.items.size(), 1u);
   EXPECT_TRUE(report.items[0].description.empty());
   EXPECT_TRUE(report.items[0].discovered);
@@ -88,9 +98,9 @@ TEST(ScanMission, SideFlagFlipsSearchWindow) {
 
   auto tags_copy = tags;
   const auto wrong =
-      run_scan_mission(below, env, {0.0, 0.0, 2.0}, plan, tags_copy, db, 4);
+      scan(below, env, plan, tags_copy, db, 4);
   const auto right =
-      run_scan_mission(above, env, {0.0, 0.0, 2.0}, plan, tags, db, 4);
+      scan(above, env, plan, tags, db, 4);
 
   ASSERT_TRUE(right.items[0].localized);
   const double err_right = std::hypot(right.items[0].estimate.x - 10.0,
@@ -110,8 +120,8 @@ TEST(ScanMission, DeterministicGivenSeed) {
   auto tags_a = aisle_tags(2, 10.0);
   auto tags_b = aisle_tags(2, 10.0);
   const auto plan = drone::linear_trajectory({6.0, 12.0, 1.2}, {20.0, 12.3, 1.2}, 80);
-  const auto a = run_scan_mission(cfg, env, {0.0, 0.0, 2.0}, plan, tags_a, db, 7);
-  const auto b = run_scan_mission(cfg, env, {0.0, 0.0, 2.0}, plan, tags_b, db, 7);
+  const auto a = scan(cfg, env, plan, tags_a, db, 7);
+  const auto b = scan(cfg, env, plan, tags_b, db, 7);
   ASSERT_EQ(a.items.size(), b.items.size());
   for (std::size_t i = 0; i < a.items.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.items[i].estimate.x, b.items[i].estimate.x);

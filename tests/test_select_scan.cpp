@@ -2,9 +2,9 @@
 // matches a mask (e.g. one SGTIN company prefix) before flying the survey.
 #include <gtest/gtest.h>
 
-#include "core/scan_mission.h"
 #include "drone/trajectory.h"
 #include "gen2/sgtin.h"
+#include "sim/pipeline.h"
 
 namespace rfly::core {
 namespace {
@@ -26,6 +26,16 @@ gen2::Bits company_mask(const gen2::Epc& epc) {
     mask.push_back((epc[bit / 8] >> (7 - bit % 8)) & 1u);
   }
   return mask;
+}
+
+/// Run the mission through the staged pipeline and return its report; a
+/// mission-level error fails the test and yields an empty report.
+ScanReport scan(const ScanMissionConfig& cfg, const channel::Environment& env,
+                const std::vector<Vec3>& plan, std::vector<TagPlacement>& tags,
+                const InventoryDatabase& db, std::uint64_t seed) {
+  auto run = sim::run_mission_pipeline(cfg, env, {0.0, 0.0, 2.0}, plan, tags, db, seed);
+  EXPECT_TRUE(run.ok()) << run.status().to_string();
+  return run.ok() ? std::move(run->report) : ScanReport{};
 }
 
 TEST(SelectScan, OnlyMatchingCompanyIsInventoried) {
@@ -55,7 +65,7 @@ TEST(SelectScan, OnlyMatchingCompanyIsInventoried) {
   const auto plan =
       drone::linear_trajectory({6.0, 12.0, 1.2}, {18.0, 12.3, 1.2}, 100);
   const auto report =
-      run_scan_mission(cfg, env, {0.0, 0.0, 2.0}, plan, tags, db, 5);
+      scan(cfg, env, plan, tags, db, 5);
 
   EXPECT_TRUE(report.items[0].discovered);
   EXPECT_TRUE(report.items[1].discovered);
@@ -82,7 +92,7 @@ TEST(SelectScan, NoSelectReadsEveryone) {
   const auto plan =
       drone::linear_trajectory({6.0, 12.0, 1.2}, {18.0, 12.3, 1.2}, 100);
   const auto report =
-      run_scan_mission(cfg, env, {0.0, 0.0, 2.0}, plan, tags, db, 6);
+      scan(cfg, env, plan, tags, db, 6);
   EXPECT_EQ(report.discovered, 3u);
 }
 

@@ -24,7 +24,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "service/client.h"
@@ -430,6 +432,36 @@ TEST(MissionServiceTest, InvalidScenarioIsTypedErrorNotQueueSlot) {
   EXPECT_EQ(stats.queue_depth, 0u);
   auto live = client->stats();
   EXPECT_TRUE(live.ok()) << "connection must survive a client mistake";
+
+  client->shutdown();
+  daemon.wait();
+}
+
+TEST(MissionServiceTest, RemovedKernelAndPlaneModesAreTypedParseErrors) {
+  MissionService daemon;
+  ASSERT_TRUE(daemon.start().is_ok());
+  auto client = Client::connect(daemon.port());
+  ASSERT_TRUE(client.ok());
+
+  const std::string text = sim::serialize(quick_scenario());
+  const std::pair<const char*, const char*> removed[] = {
+      {"measure.plane = exact", "measure.plane = off"},
+      {"measure.plane = exact", "measure.plane = auto"},
+      {"localize.sar_kernel = exact", "localize.sar_kernel = auto"},
+  };
+  for (const auto& [line, replacement] : removed) {
+    std::string edited = text;
+    const auto at = edited.find(line);
+    ASSERT_NE(at, std::string::npos) << line;
+    edited.replace(at, std::string(line).size(), replacement);
+    auto ack = client->submit(edited, 1);
+    ASSERT_FALSE(ack.ok()) << replacement;
+    EXPECT_EQ(ack.status().code(), StatusCode::kParseError) << replacement;
+    const std::string key = std::string(line).substr(0, std::string(line).find(' '));
+    EXPECT_NE(ack.status().to_string().find(key), std::string::npos)
+        << ack.status().to_string();
+  }
+  EXPECT_EQ(daemon.stats().submitted, 0u);
 
   client->shutdown();
   daemon.wait();

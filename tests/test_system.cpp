@@ -124,7 +124,8 @@ TEST(System, CollectSkipsUnpoweredPoints) {
     flight.push_back({{x, 0, 1}, {x, 0, 1}});
   }
   const auto set = sys.collect_measurements(flight, {20, 0, 0.5}, rng);
-  EXPECT_EQ(set.size(), 3u);
+  ASSERT_TRUE(set.ok()) << set.status().to_string();
+  EXPECT_EQ(set->size(), 3u);
 }
 
 TEST(System, NoiseScalesWithIntegrationTime) {
