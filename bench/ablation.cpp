@@ -85,6 +85,7 @@ void a3_frequency_shift() {
   for (double shift : {1e6, 5e6, 10e6, 25e6}) {
     LocalizationTrialConfig cfg;
     cfg.shelf_rows = 0;
+    cfg.tag_position = {15.0, 8.0, 0.0};
     cfg.system.freq_shift_hz = shift;
     cfg.localize_at_reader_freq = true;  // use f instead of f2
     std::vector<double> errors;

@@ -5,7 +5,7 @@
 // so the per-mission SAR cost amortizes across the batch; the per-mission
 // reference points pin what the legacy path costs at the same sizes.
 //
-//   bench_batch_throughput                      # full ladder, both kernels
+//   bench_batch_throughput                      # full ladder
 //   bench_batch_throughput --trials 100         # cap the largest batch
 //   bench_batch_throughput --out BENCH_batch.json
 //
@@ -74,52 +74,39 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(scenario.seed), opts.threads);
 
   bench::Metrics metrics;
-  for (const localize::SarKernel kernel :
-       {localize::SarKernel::kExact, localize::SarKernel::kFast}) {
-    scenario.sar_kernel = kernel;
-    const std::string kname = localize::sar_kernel_name(kernel);
-
-    std::printf("kernel %-5s  %-12s %10s %14s %12s %12s\n", kname.c_str(),
-                "mode", "batch", "missions/s", "cache h/m", "arena KiB");
-    double batched_mps_1 = 0.0, batched_mps_ref = 0.0;
-    for (std::size_t batch : sizes) {
-      const Point p = run_point(scenario, batch, sim::BatchMode::kBatched, opts);
-      std::printf("              %-12s %10zu %14.2f %7llu/%-4llu %12.1f\n",
-                  "batched", p.batch, p.missions_per_second,
-                  static_cast<unsigned long long>(p.info.cache_hits),
-                  static_cast<unsigned long long>(p.info.cache_misses),
-                  static_cast<double>(p.info.arena_high_water_bytes) / 1024.0);
-      metrics.add("batched_" + kname + "_mps_" + std::to_string(batch),
-                  p.missions_per_second);
-      if (batch == 1) batched_mps_1 = p.missions_per_second;
-      if (batch == reference_sizes.back()) batched_mps_ref = p.missions_per_second;
-      if (batch == sizes.back()) {
-        metrics.add(kname + "_cache_hits", static_cast<double>(p.info.cache_hits));
-        metrics.add(kname + "_cache_misses",
-                    static_cast<double>(p.info.cache_misses));
-        metrics.add(kname + "_arena_high_water_bytes",
-                    static_cast<double>(p.info.arena_high_water_bytes));
-        metrics.add(kname + "_deferred_tasks",
-                    static_cast<double>(p.info.deferred_tasks));
-        metrics.add(kname + "_distinct_tasks",
-                    static_cast<double>(p.info.distinct_tasks));
-      }
+  std::printf("%-12s %10s %14s %12s %12s\n", "mode", "batch", "missions/s",
+              "cache h/m", "arena KiB");
+  double batched_mps_1 = 0.0, batched_mps_ref = 0.0;
+  for (std::size_t batch : sizes) {
+    const Point p = run_point(scenario, batch, sim::BatchMode::kBatched, opts);
+    std::printf("%-12s %10zu %14.2f %7llu/%-4llu %12.1f\n", "batched", p.batch,
+                p.missions_per_second,
+                static_cast<unsigned long long>(p.info.cache_hits),
+                static_cast<unsigned long long>(p.info.cache_misses),
+                static_cast<double>(p.info.arena_high_water_bytes) / 1024.0);
+    metrics.add("batched_mps_" + std::to_string(batch), p.missions_per_second);
+    if (batch == 1) batched_mps_1 = p.missions_per_second;
+    if (batch == reference_sizes.back()) batched_mps_ref = p.missions_per_second;
+    if (batch == sizes.back()) {
+      metrics.add("cache_hits", static_cast<double>(p.info.cache_hits));
+      metrics.add("cache_misses", static_cast<double>(p.info.cache_misses));
+      metrics.add("arena_high_water_bytes",
+                  static_cast<double>(p.info.arena_high_water_bytes));
+      metrics.add("deferred_tasks", static_cast<double>(p.info.deferred_tasks));
+      metrics.add("distinct_tasks", static_cast<double>(p.info.distinct_tasks));
     }
-    for (std::size_t batch : reference_sizes) {
-      const Point p = run_point(scenario, batch, sim::BatchMode::kPerMission, opts);
-      std::printf("              %-12s %10zu %14.2f %12s %12s\n", "per-mission",
-                  p.batch, p.missions_per_second, "-", "-");
-      metrics.add("per_mission_" + kname + "_mps_" + std::to_string(batch),
-                  p.missions_per_second);
-    }
-    const double speedup =
-        batched_mps_1 > 0.0 ? batched_mps_ref / batched_mps_1 : 0.0;
-    std::printf("  batch %zu vs batch 1 (batched): %.2fx\n\n",
-                reference_sizes.back(), speedup);
-    metrics.add("speedup_" + kname + "_batch" +
-                    std::to_string(reference_sizes.back()) + "_vs_1",
-                speedup);
   }
+  for (std::size_t batch : reference_sizes) {
+    const Point p = run_point(scenario, batch, sim::BatchMode::kPerMission, opts);
+    std::printf("%-12s %10zu %14.2f %12s %12s\n", "per-mission", p.batch,
+                p.missions_per_second, "-", "-");
+    metrics.add("per_mission_mps_" + std::to_string(batch), p.missions_per_second);
+  }
+  const double speedup = batched_mps_1 > 0.0 ? batched_mps_ref / batched_mps_1 : 0.0;
+  std::printf("  batch %zu vs batch 1 (batched): %.2fx\n\n", reference_sizes.back(),
+              speedup);
+  metrics.add("speedup_batch" + std::to_string(reference_sizes.back()) + "_vs_1",
+              speedup);
 
   if (!bench::finish_observability(opts, metrics)) return 1;
   if (!metrics.write(opts.out)) return 1;

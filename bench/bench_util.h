@@ -77,16 +77,10 @@ struct CliOptions {
   std::string scenario; // scenario file (scenario_runner)
   bool report = false;  // print the span tree + metric table after the run
   std::string trace_out; // Chrome trace-event JSON path; empty = none
-  /// SAR evaluation kernel (--kernel exact|fast). Benches default to
-  /// fast — they measure perf, not goldens; pass --kernel exact to compare
-  /// against the seed's libm loop.
-  localize::SarKernel kernel = localize::SarKernel::kFast;
-  /// True when --kernel was passed explicitly. scenario_runner uses this to
-  /// decide whether the flag overrides the scenario's own sar_kernel field.
-  bool kernel_explicit = false;
-  /// SAR search strategy (--search exact|incremental|coarse2fine), same
-  /// override semantics as --kernel. Benches default to the legacy exact
-  /// sweep so existing runs stay comparable.
+  /// SAR search strategy (--search exact|incremental|coarse2fine).
+  /// scenario_runner applies it over the scenario's own `localize.search`
+  /// only when passed (`search_explicit`). Benches default to the legacy
+  /// exact sweep so existing runs stay comparable.
   localize::SarSearch search = localize::SarSearch::kExact;
   bool search_explicit = false;
   /// Batch execution mode (--batch batched|per-mission): whether repeated
@@ -132,13 +126,10 @@ struct CliOptions {
         out = value;
       } else if (arg == "--scenario" && (value = value_of(i))) {
         scenario = value;
-      } else if (arg == "--kernel" && (value = value_of(i))) {
-        if (!localize::parse_sar_kernel(value, kernel)) {
-          return fail({StatusCode::kParseError,
-                       "--kernel wants exact|fast, got '" +
-                           std::string(value) + "'"});
-        }
-        kernel_explicit = true;
+      } else if (arg == "--kernel") {
+        return fail({StatusCode::kParseError,
+                     "--kernel was removed: every run uses the SIMD SAR and "
+                     "forward-synthesis kernels"});
       } else if (arg == "--search" && (value = value_of(i))) {
         if (!localize::parse_sar_search(value, search)) {
           return fail({StatusCode::kParseError,
@@ -178,7 +169,6 @@ struct CliOptions {
   static void usage(const char* argv0) {
     std::fprintf(stderr,
                  "usage: %s [--seed N] [--trials N] [--threads N] "
-                 "[--kernel exact|fast] "
                  "[--search exact|incremental|coarse2fine] "
                  "[--batch batched|per-mission] [--cache-capacity N] "
                  "[--out FILE] "

@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
                            placement_rng.uniform(0.5, 3.0), 1.0};
     cfg.aperture_m = 2.0;
     cfg.flight_offset_y_m = placement_rng.uniform(1.2, 2.2);
-    cfg.sar_kernel = opts.kernel;
     cfg.sar_search = opts.search;
     const auto result =
         run_localization_trial(cfg, 5000 + static_cast<std::uint64_t>(t));

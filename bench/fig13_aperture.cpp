@@ -42,7 +42,6 @@ int main(int argc, char** argv) {
       cfg.flight_offset_y_m = 1.5;
       cfg.flight_altitude_m = 0.3;  // iRobot Create, not a drone
       cfg.tracking = drone::optitrack_tracking();
-      cfg.sar_kernel = opts.kernel;
       cfg.sar_search = opts.search;
       const auto result = run_localization_trial(
           cfg, 6000 + static_cast<std::uint64_t>(t) * 31 +

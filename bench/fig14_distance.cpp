@@ -57,7 +57,6 @@ int main(int argc, char** argv) {
       // distance separately from the projected reader distance).
       cfg.flight_offset_y_m = 0.8;
       cfg.flight_altitude_m = 0.3;
-      cfg.sar_kernel = opts.kernel;
       cfg.sar_search = opts.search;
       const auto result = run_localization_trial(
           cfg, 7000 + static_cast<std::uint64_t>(t) * 17 +

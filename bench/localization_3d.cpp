@@ -54,7 +54,6 @@ int main(int argc, char** argv) {
       localize::Localize3dConfig cfg3d;
       cfg3d.freq_hz = sys_cfg.carrier_hz + sys_cfg.freq_shift_hz;
       cfg3d.threads = opts.threads;
-      cfg3d.kernel = opts.kernel;
       cfg3d.search = opts.search;
       const auto result = localize::localize_3d(measurements, vol, cfg3d);
       if (!result) continue;

@@ -1,20 +1,16 @@
 // Measure-stage throughput: channel-measurement synthesis over the
-// warehouse preset's flight as the tag population grows 1 -> 2000. Two
-// paths at each size:
-//
-//   exact  — the hoisted ForwardPlane: the per-waypoint half is computed
-//     once per flight and shared across tags; the per-(point, tag) work
-//     shrinks to one relay→tag channel. Bit-identical to the seed's
-//     per-tag scalar loop.
-//   fast   — plane + the multiversioned SIMD forward kernels
-//     (synthesize_forward_channels with the dispatcher's active variant;
-//     every supported ISA is also timed on the synthesis inner loop).
+// warehouse preset's flight as the tag population grows 1 -> 2000. Each
+// point times the mission's measure stage: build the hoisted ForwardPlane
+// (the per-waypoint half, computed once per flight and shared across
+// tags), synthesize every tag's channels with the multiversioned SIMD
+// forward kernels (the dispatcher's active variant), then collect each
+// tag. Every supported ISA is also timed on the synthesis inner loop.
 //
 //   bench_measure_throughput                       # full ladder
 //   bench_measure_throughput --trials 5            # timing repetitions
 //   bench_measure_throughput --out BENCH_measure.json
 //
-// The JSON carries exact_ms_<N> / fast_ms_<N>, synthesis_ms_<isa>, and
+// The JSON carries measure_ms_<N>, synthesis_ms_<isa>, and
 // channel_evals_per_flight, which pins that the plane evaluates the
 // reader↔relay channel once per waypoint per flight — not once per tag.
 #include <algorithm>
@@ -55,43 +51,24 @@ std::vector<channel::Vec3> spread_tags(const sim::Scenario& scenario,
   return tags;
 }
 
-/// Best-of-`reps` wall time for one measure-stage pass over all tags.
-/// Both modes consume the same rng stream shape, so the timed work is
-/// comparable; the plane build is timed inside each mode — it is part of
-/// the stage cost the hoist amortizes.
-struct ModeTimes {
-  double exact_s = 0.0;
-  double fast_s = 0.0;
-};
-
-ModeTimes time_modes(const core::RflySystem& system,
-                     const std::vector<drone::FlownPoint>& flight,
-                     const std::vector<channel::Vec3>& tags, int reps) {
-  ModeTimes best{1e300, 1e300};
+/// Best-of-`reps` wall time for one measure-stage pass over all tags; the
+/// plane build is inside the timed region — it is part of the stage cost
+/// the hoist amortizes.
+double time_stage(const core::RflySystem& system,
+                  const std::vector<drone::FlownPoint>& flight,
+                  const std::vector<channel::Vec3>& tags, int reps) {
+  double best = 1e300;
   std::size_t sink = 0;
   for (int r = 0; r < reps; ++r) {
-    {
-      Rng rng(99);
-      const auto start = std::chrono::steady_clock::now();
-      const auto plane = core::ForwardPlane::build(system, flight);
-      for (const auto& tag : tags) {
-        const auto set = system.collect_measurements(flight, tag, rng, plane);
-        if (set.ok()) sink += set.value().size();
-      }
-      best.exact_s = std::min(best.exact_s, seconds_since(start));
+    Rng rng(99);
+    const auto start = std::chrono::steady_clock::now();
+    const auto plane = core::ForwardPlane::build(system, flight);
+    const auto synth = core::synthesize_forward_channels(system, plane, tags);
+    for (std::size_t i = 0; i < tags.size(); ++i) {
+      const auto set = system.collect_measurements(flight, rng, plane, synth[i]);
+      if (set.ok()) sink += set.value().size();
     }
-    {
-      Rng rng(99);
-      const auto start = std::chrono::steady_clock::now();
-      const auto plane = core::ForwardPlane::build(system, flight);
-      const auto synth = core::synthesize_forward_channels(system, plane, tags);
-      for (std::size_t i = 0; i < tags.size(); ++i) {
-        const auto set =
-            system.collect_measurements(flight, rng, plane, synth[i]);
-        if (set.ok()) sink += set.value().size();
-      }
-      best.fast_s = std::min(best.fast_s, seconds_since(start));
-    }
+    best = std::min(best, seconds_since(start));
   }
   if (sink == 0) std::fprintf(stderr, "warning: no measurements collected\n");
   return best;
@@ -143,15 +120,13 @@ int main(int argc, char** argv) {
                     : "  ** EXPECTED once per waypoint **");
   }
 
-  std::printf("%8s %12s %12s\n", "tags", "exact ms", "fast ms");
+  std::printf("%8s %12s\n", "tags", "measure ms");
   const std::vector<std::size_t> ladder{1, 10, 100, 1000, 2000};
   for (std::size_t n : ladder) {
     const auto tags = spread_tags(scenario, n);
-    const ModeTimes t = time_modes(system, flight, tags, reps);
-    std::printf("%8zu %12.2f %12.2f\n", n, t.exact_s * 1e3, t.fast_s * 1e3);
-    const std::string suffix = std::to_string(n);
-    metrics.add("exact_ms_" + suffix, t.exact_s * 1e3);
-    metrics.add("fast_ms_" + suffix, t.fast_s * 1e3);
+    const double seconds = time_stage(system, flight, tags, reps);
+    std::printf("%8zu %12.2f\n", n, seconds * 1e3);
+    metrics.add("measure_ms_" + std::to_string(n), seconds * 1e3);
   }
 
   // Per-ISA synthesis inner loop (the part the multiversioned kernels own),

@@ -1,14 +1,14 @@
 // Robustness sweep — graceful degradation under injected faults. Runs the
 // warehouse preset through the fault layer (sim/faults.h) along two axes —
 // measurement dropout rate and wind trajectory jitter — and reports the
-// localization-error CDF at every point, for both the exact and fast SAR
-// kernels. The paper's deployments (Section 7.3) survive real-world sway,
-// lost reads, and residual relay phase error; this bench shows the
-// reproduction degrades smoothly instead of falling over: at 20% dropout
-// every mission still completes (DEGRADED, never FAILED) and the median
-// error grows gently with the fault intensity.
+// localization-error CDF at every point. The paper's deployments
+// (Section 7.3) survive real-world sway, lost reads, and residual relay
+// phase error; this bench shows the reproduction degrades smoothly
+// instead of falling over: at 20% dropout every mission still completes
+// (DEGRADED, never FAILED) and the median error grows gently with the
+// fault intensity.
 //
-//   robustness_sweep --trials 6 --threads 0 --kernel exact
+//   robustness_sweep --trials 6 --threads 0
 //   robustness_sweep --set faults.max_attempts=5 --out BENCH_robustness.json
 //
 // The per-trial engine seeds come from the batch runner's splitmix64 stream,
@@ -32,9 +32,8 @@ struct SweepPoint {
   double value;
 };
 
-/// One (kernel, fault, value) cell of the sweep.
+/// One (fault, value) cell of the sweep.
 struct PointResult {
-  std::string kernel;
   std::string fault;
   double value = 0.0;
   std::size_t missions = 0;
@@ -55,8 +54,7 @@ std::string sweep_to_json(const std::vector<PointResult>& points) {
   for (const auto& p : points) {
     if (!first_point) out += ", ";
     first_point = false;
-    out += "{\"kernel\": " + json_quote(p.kernel) +
-           ", \"fault\": " + json_quote(p.fault) + ", \"value\": ";
+    out += "{\"fault\": " + json_quote(p.fault) + ", \"value\": ";
     append_double(out, p.value);
     out += ", \"missions\": " + std::to_string(p.missions);
     out += ", \"failed\": " + std::to_string(p.failed);
@@ -118,69 +116,57 @@ int main(int argc, char** argv) {
       {"wind_jitter_std_m", 0.0}, {"wind_jitter_std_m", 0.02},
       {"wind_jitter_std_m", 0.05},
   };
-  std::vector<localize::SarKernel> kernels;
-  if (opts.kernel_explicit) {
-    kernels = {opts.kernel};
-  } else {
-    kernels = {localize::SarKernel::kExact, localize::SarKernel::kFast};
-  }
-
   std::vector<PointResult> points;
-  for (const auto kernel : kernels) {
-    std::printf("kernel %s (%zu trial(s)/point, base seed %llu):\n",
-                localize::sar_kernel_name(kernel), trials,
-                static_cast<unsigned long long>(first_seed));
-    std::printf("  %-20s %7s  %4s %4s %4s  %9s  %10s %10s\n", "fault", "value",
-                "runs", "fail", "degr", "coverage", "median", "p90");
-    for (const auto& point : kPoints) {
-      sim::Scenario scenario = base;
-      scenario.sar_kernel = kernel;
-      scenario.faults = base.faults;  // --set faults.* overrides carry over
-      if (std::string(point.fault) == "dropout") {
-        scenario.faults.dropout = point.value;
-      } else {
-        scenario.faults.wind_jitter_std_m = point.value;
-      }
-
-      const auto batch =
-          sim::run_seed_sweep(scenario, first_seed, trials, {opts.threads});
-      const auto summary = sim::summarize(batch);
-
-      PointResult pr;
-      pr.kernel = localize::sar_kernel_name(kernel);
-      pr.fault = point.fault;
-      pr.value = point.value;
-      pr.missions = summary.jobs;
-      pr.failed = summary.failed;
-      pr.degraded = summary.degraded;
-      pr.mean_coverage = summary.mean_coverage;
-      for (const auto& result : batch) {
-        if (!result.status.is_ok()) continue;
-        const auto& items = result.run.report.items;
-        // Report items are in tag-population order, so items[i] answers for
-        // scenario.tags[i]; error is the 2D (floor-plane) distance.
-        const std::size_t n = std::min(items.size(), scenario.tags.size());
-        for (std::size_t i = 0; i < n; ++i) {
-          if (!items[i].localized) continue;
-          const double dx = items[i].estimate.x - scenario.tags[i].position.x;
-          const double dy = items[i].estimate.y - scenario.tags[i].position.y;
-          pr.errors_cm.push_back(100.0 * std::hypot(dx, dy));
-        }
-      }
-      std::sort(pr.errors_cm.begin(), pr.errors_cm.end());
-      if (!pr.errors_cm.empty()) {
-        pr.median_cm = median(pr.errors_cm);
-        pr.p90_cm = percentile(pr.errors_cm, 90);
-      }
-
-      std::printf("  %-20s %7.3f  %4zu %4zu %4zu  %8.1f%%  %8.1fcm %8.1fcm\n",
-                  pr.fault.c_str(), pr.value, pr.missions, pr.failed,
-                  pr.degraded, pr.mean_coverage * 100.0, pr.median_cm,
-                  pr.p90_cm);
-      points.push_back(std::move(pr));
+  std::printf("%zu trial(s)/point, base seed %llu:\n", trials,
+              static_cast<unsigned long long>(first_seed));
+  std::printf("  %-20s %7s  %4s %4s %4s  %9s  %10s %10s\n", "fault", "value",
+              "runs", "fail", "degr", "coverage", "median", "p90");
+  for (const auto& point : kPoints) {
+    sim::Scenario scenario = base;
+    scenario.faults = base.faults;  // --set faults.* overrides carry over
+    if (std::string(point.fault) == "dropout") {
+      scenario.faults.dropout = point.value;
+    } else {
+      scenario.faults.wind_jitter_std_m = point.value;
     }
-    std::printf("\n");
+
+    const auto batch =
+        sim::run_seed_sweep(scenario, first_seed, trials, {opts.threads});
+    const auto summary = sim::summarize(batch);
+
+    PointResult pr;
+    pr.fault = point.fault;
+    pr.value = point.value;
+    pr.missions = summary.jobs;
+    pr.failed = summary.failed;
+    pr.degraded = summary.degraded;
+    pr.mean_coverage = summary.mean_coverage;
+    for (const auto& result : batch) {
+      if (!result.status.is_ok()) continue;
+      const auto& items = result.run.report.items;
+      // Report items are in tag-population order, so items[i] answers for
+      // scenario.tags[i]; error is the 2D (floor-plane) distance.
+      const std::size_t n = std::min(items.size(), scenario.tags.size());
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!items[i].localized) continue;
+        const double dx = items[i].estimate.x - scenario.tags[i].position.x;
+        const double dy = items[i].estimate.y - scenario.tags[i].position.y;
+        pr.errors_cm.push_back(100.0 * std::hypot(dx, dy));
+      }
+    }
+    std::sort(pr.errors_cm.begin(), pr.errors_cm.end());
+    if (!pr.errors_cm.empty()) {
+      pr.median_cm = median(pr.errors_cm);
+      pr.p90_cm = percentile(pr.errors_cm, 90);
+    }
+
+    std::printf("  %-20s %7.3f  %4zu %4zu %4zu  %8.1f%%  %8.1fcm %8.1fcm\n",
+                pr.fault.c_str(), pr.value, pr.missions, pr.failed,
+                pr.degraded, pr.mean_coverage * 100.0, pr.median_cm,
+                pr.p90_cm);
+    points.push_back(std::move(pr));
   }
+  std::printf("\n");
 
   bench::Metrics metrics;
   metrics.add("trials_per_point", static_cast<double>(trials));

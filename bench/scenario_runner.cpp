@@ -84,10 +84,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  // An explicit --kernel wins over the scenario's localize.sar_kernel field
-  // (and over --set overrides); without the flag the scenario decides, so
-  // preset runs stay bit-identical to their goldens.
-  if (opts.kernel_explicit) scenario.sar_kernel = opts.kernel;
+  // An explicit --search wins over the scenario's localize.search field
+  // (and over --set overrides); without the flag the scenario decides.
   if (opts.search_explicit) scenario.sar_search = opts.search;
   if (Status status = sim::validate(scenario); !status.is_ok()) {
     std::fprintf(stderr, "%s\n", status.to_string().c_str());

@@ -54,8 +54,7 @@ int main(int argc, char** argv) {
 
   bench::header("BENCH service", "daemon overhead & result-cache throughput");
 
-  auto scenario = *sim::preset("warehouse");
-  scenario.sar_kernel = opts.kernel;
+  const auto scenario = *sim::preset("warehouse");
   std::vector<sim::BatchJob> jobs;
   jobs.reserve(jobs_n);
   for (std::size_t i = 0; i < jobs_n; ++i) {
@@ -169,13 +168,12 @@ int main(int argc, char** argv) {
         json,
         "{\n  \"bench\": \"service_throughput\",\n"
         "  \"scenario\": %s,\n  \"jobs\": %zu,\n  \"job_threads\": %u,\n"
-        "  \"kernel\": %s,\n  \"direct\": %s,\n  \"socket_cold\": %s,\n"
+        "  \"direct\": %s,\n  \"socket_cold\": %s,\n"
         "  \"socket_warm\": %s,\n"
         "  \"stats\": {\"submitted\": %llu, \"simulated\": %llu, "
         "\"cache_hits\": %llu, \"cache_misses\": %llu, \"rejected\": %llu}\n"
         "}\n",
         json_quote(scenario.name).c_str(), jobs_n, opts.threads,
-        json_quote(localize::sar_kernel_name(opts.kernel)).c_str(),
         phase_json(direct).c_str(), phase_json(cold).c_str(),
         phase_json(warm).c_str(),
         static_cast<unsigned long long>(stats.submitted),

@@ -53,14 +53,11 @@ int main() {
               measurements->size(), drone::trajectory_length(plan));
 
   // --- 3. Localize: disentangle the half-links, SAR matched filter. ---
-  // The SAR search runs the fast SIMD kernel here (config.kernel); the
-  // default is the exact libm loop, bit-identical to the original
-  // implementation. `fast` picks the widest ISA this CPU supports at
-  // runtime and typically localizes an order of magnitude faster.
+  // The SAR search runs the SIMD kernel, which picks the widest ISA this
+  // CPU supports at runtime.
   localize::LocalizerConfig loc;
   loc.freq_hz = config.carrier_hz + config.freq_shift_hz;
   loc.grid = {27.0, 33.0, 1.0, 5.5, 0.01};
-  loc.kernel = localize::SarKernel::kFast;
   std::printf("SAR kernel: fast (%s)\n", localize::sar_kernel_active().isa);
   const auto result = localize::localize_2d(*measurements, loc);
   if (!result) {

@@ -15,9 +15,10 @@
 // Output is a flat SoA path list the forward kernels consume: per-waypoint
 // direct-path amplitude products (direct *distances* come from the kernels'
 // vectorized `distances` op) plus offset-segmented reflection paths with
-// precomputed distances and amplitudes. Used by the fast measure plane
-// only — mathematically equivalent to paths_between + path_coefficient, not
-// bit-identical (tolerance-pinned by tests/test_measure_plane.cpp).
+// precomputed distances and amplitudes. Used by the measure plane's
+// synthesis — mathematically equivalent to paths_between +
+// path_coefficient, not bit-identical (tolerance-pinned by
+// tests/test_measure_plane.cpp).
 #pragma once
 
 #include <cstddef>

@@ -99,4 +99,19 @@ inline unsigned clamp_thread_count(unsigned requested) {
   return std::min(requested, hw);
 }
 
+/// Inner-loop operations (for SAR: cells x measurements) below which a job
+/// runs inline on the caller. A fork-join wakes a parked worker and ends on
+/// a barrier that waits for the slowest participant; for a job this small
+/// (about 0.4 ms of SIMD SAR) that costs as much as the second thread
+/// saves, and a worker whose vCPU is descheduled stalls the caller for the
+/// whole gap, so small jobs only add run-to-run jitter.
+inline constexpr std::size_t kMinParallelWork = std::size_t{1} << 17;
+
+/// `threads` for a job of `work` inner-loop operations: 1 below
+/// kMinParallelWork, `threads` unchanged otherwise. Chunking never depends
+/// on the thread count, so this changes scheduling only.
+inline unsigned threads_for_work(unsigned threads, std::size_t work) {
+  return work < kMinParallelWork ? 1u : threads;
+}
+
 }  // namespace rfly

@@ -57,7 +57,6 @@ Expected<LocalizationTrialResult> run_localization_trial(
                     ? config.system.carrier_hz
                     : config.system.carrier_hz + config.system.freq_shift_hz;
   loc.selection = config.selection;
-  loc.kernel = config.sar_kernel;
   loc.search = config.sar_search;
   loc.grid.resolution_m = config.grid_resolution_m;
   loc.grid.x_min = tag.x - config.search_halfwidth_m;

@@ -13,8 +13,8 @@
 // This translation unit is compiled with -fno-math-errno (so sqrt lowers to
 // the hardware instruction) and -ffp-contract=fast (so mul-adds fuse where
 // the ISA has FMA); see src/core/CMakeLists.txt. Neither flag touches
-// system.cpp or forward_plane.cpp, whose exact paths must stay bit-identical
-// to the seed.
+// system.cpp or forward_plane.cpp, whose plane hoists must stay
+// bit-identical to the scalar RflySystem methods they replace.
 #include "core/forward_kernel.h"
 
 #include <cstdlib>
@@ -23,16 +23,6 @@
 #include "common/simd.h"
 
 namespace rfly::core {
-
-const char* measure_plane_name(MeasurePlane mode) {
-  return mode == MeasurePlane::kFast ? "fast" : "exact";
-}
-
-bool parse_measure_plane(const std::string& text, MeasurePlane& out) {
-  if (text == "exact") return out = MeasurePlane::kExact, true;
-  if (text == "fast") return out = MeasurePlane::kFast, true;
-  return false;
-}
 
 // --- Kernel instantiations -----------------------------------------------
 

@@ -24,30 +24,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace rfly::core {
-
-/// Measure-stage plane selector, a first-class knob on ScanMissionConfig
-/// and the scenario format (`measure.plane = exact|fast`). Both modes read
-/// the per-flight ForwardPlane (forward_plane.h).
-///
-///   - `exact` — plane-backed collect: the seed's per-point expressions,
-///               with every per-waypoint operand evaluated once per flight.
-///               Bit-identical to the seed's scalar loop (kept as a
-///               test-local reference in tests/test_measure_plane.cpp) at
-///               any thread count, batch mode and fault config.
-///   - `fast`  — kernel-synthesized channels: linear-domain power math,
-///               SIMD across waypoints. Mathematically equivalent, not
-///               bit-identical.
-enum class MeasurePlane : std::uint8_t { kExact = 0, kFast = 1 };
-
-/// "exact", "fast" (stable; used by the scenario serializer).
-const char* measure_plane_name(MeasurePlane mode);
-
-/// Parse a plane-mode name; false on anything but the two names above.
-bool parse_measure_plane(const std::string& text, MeasurePlane& out);
 
 /// Flat argument block for the kernel entry points. Plain pointers only:
 /// the kernel bodies are compiled under per-ISA target pragmas where

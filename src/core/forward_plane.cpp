@@ -85,36 +85,29 @@ ForwardPlane ForwardPlane::build(const RflySystem& system,
   plane.px.resize(n);
   plane.py.resize(n);
   plane.pz.resize(n);
-  plane.h1.resize(n);
-  plane.h1_abs_db.resize(n);
-  plane.relay_tx_dbm.resize(n);
-  plane.g_d_amp.resize(n);
-  plane.embedded.resize(n);
   plane.h1_re.resize(n);
   plane.h1_im.resize(n);
   plane.h1_pow.resize(n);
   plane.relay_tx_mw.resize(n);
+  plane.g_d_amp.resize(n);
+  plane.embedded.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const Vec3& a = flight[i].actual;
     plane.px[i] = a.x;
     plane.py[i] = a.y;
     plane.pz[i] = a.z;
-    // Exact hoists: the same public methods the scalar collect loop drives,
-    // called once per waypoint — stored bits are exactly what the scalar
-    // path would have recomputed at this point.
+    // The same public methods the scalar collect loop drives, called once
+    // per waypoint.
     const cdouble h1 = system.reader_relay_channel(a);
-    plane.h1[i] = h1;
-    plane.h1_abs_db[i] = amplitude_to_db(std::abs(h1));
-    const double relay_rx_dbm = cfg.reader_eirp_dbm + plane.h1_abs_db[i];
-    plane.relay_tx_dbm[i] = RflySystem::saturated_output_dbm(
-        relay_rx_dbm, cfg.relay_downlink_gain_db, cfg.relay_downlink_p1db_dbm);
-    plane.g_d_amp[i] = db_to_amplitude(system.effective_downlink_gain_db(a));
-    plane.embedded[i] = system.measured_embedded_channel(a);
-    // Fast-path linear mirrors.
     plane.h1_re[i] = h1.real();
     plane.h1_im[i] = h1.imag();
     plane.h1_pow[i] = h1.real() * h1.real() + h1.imag() * h1.imag();
-    plane.relay_tx_mw[i] = std::pow(10.0, plane.relay_tx_dbm[i] / 10.0);
+    const double relay_rx_dbm = cfg.reader_eirp_dbm + amplitude_to_db(std::abs(h1));
+    const double relay_tx_dbm = RflySystem::saturated_output_dbm(
+        relay_rx_dbm, cfg.relay_downlink_gain_db, cfg.relay_downlink_p1db_dbm);
+    plane.relay_tx_mw[i] = std::pow(10.0, relay_tx_dbm / 10.0);
+    plane.g_d_amp[i] = db_to_amplitude(system.effective_downlink_gain_db(a));
+    plane.embedded[i] = system.measured_embedded_channel(a);
   }
   plane_builds().inc();
   plane_channel_evals().add(n);

@@ -6,17 +6,11 @@
 // downlink gain, the embedded-tag channel — roughly five times per flight
 // point *per tag* through the RflySystem call graph. All of it depends only
 // on the flight and the system, not the tag. A ForwardPlane computes each
-// exactly once per flight:
-//
-//   - exact mode reads the hoisted values back through expressions
-//     identical to the seed loop's, so results are bit-identical to the
-//     seed (the plane stores results of the same public methods, called
-//     once); pinned against a test-local copy of that loop in
-//     tests/test_measure_plane.cpp.
-//   - fast mode additionally feeds the plane's linear-domain mirrors to the
-//     multiversioned forward kernels (forward_kernel.h), which synthesize
-//     readability masks and target channels for a block of waypoints × tags
-//     in one SIMD pass.
+// exactly once per flight, through the same public RflySystem methods (so
+// every hoisted value is bit-identical to the scalar call), and stores the
+// linear-domain mirrors the multiversioned forward kernels
+// (forward_kernel.h) read to synthesize readability masks and target
+// channels for a block of waypoints × tags in one SIMD pass.
 //
 // Planes are shared across every tag in a mission, and — via the
 // process-wide content cache below — across missions in a batch that fly
@@ -46,44 +40,37 @@ struct ForwardPlane {
   // record, straight from the flight).
   std::vector<double> px, py, pz;
 
-  // Exact-path hoists: results of the scalar methods, one call per
-  // waypoint, stored bit-for-bit.
-  std::vector<cdouble> h1;           // reader_relay_channel(actual)
-  std::vector<double> h1_abs_db;     // amplitude_to_db(|h1|)
-  std::vector<double> relay_tx_dbm;  // capped downlink drive (P1dB stage)
+  // Per-waypoint hoists, from one call of each scalar method per waypoint.
+  std::vector<double> h1_re, h1_im;  // reader_relay_channel(actual)
+  std::vector<double> h1_pow;        // |h1|²
+  std::vector<double> relay_tx_mw;   // capped downlink drive (P1dB stage), mW
   std::vector<double> g_d_amp;       // db_to_amplitude(effective_downlink_gain_db)
   std::vector<cdouble> embedded;     // measured_embedded_channel(actual)
-
-  // Fast-path linear mirrors for the forward kernels.
-  std::vector<double> h1_re, h1_im;  // h1 split re/im
-  std::vector<double> h1_pow;        // |h1|²
-  std::vector<double> relay_tx_mw;   // 10^(relay_tx_dbm/10)
 
   std::size_t size() const { return px.size(); }
 
   /// Hoist the flight once: calls the same public RflySystem methods the
-  /// seed's scalar collect loop called, one evaluation per waypoint, so
-  /// every stored value is bit-identical to what that loop recomputed. Bumps the `measure.plane.channel_evals` obs counter by
-  /// the flight size — the per-waypoint channel evaluations this build
-  /// performs, charged once per flight instead of once per (point, tag).
+  /// seed's scalar collect loop called, one evaluation per waypoint. Bumps
+  /// the `measure.plane.channel_evals` obs counter by the flight size — the
+  /// per-waypoint channel evaluations this build performs, charged once per
+  /// flight instead of once per (point, tag).
   static ForwardPlane build(const RflySystem& system,
                             const std::vector<drone::FlownPoint>& flight);
 };
 
-/// Kernel-synthesized per-tag measure-stage output (fast mode): one
-/// readability flag and one complex target channel per waypoint. The
-/// embedded channel comes straight from the plane.
+/// Kernel-synthesized per-tag measure-stage output: one readability flag
+/// and one complex target channel per waypoint. The embedded channel comes
+/// straight from the plane.
 struct SynthChannels {
   std::vector<std::uint8_t> readable;  // 0/1 per waypoint
   std::vector<double> target_re, target_im;
 };
 
-/// Fast-path synthesis for every tag against one plane: batched multipath
-/// geometry (channel::batch_link_paths, per-obstacle constants hoisted per
-/// tag), then the active forward kernels for distances, propagation
-/// phasors, and the multi-tag synthesize pass. RNG-free. `variant` forces a
-/// specific kernel variant (tests/benches); null uses the dispatcher's
-/// pick.
+/// Synthesis for every tag against one plane: batched multipath geometry
+/// (channel::batch_link_paths, per-obstacle constants hoisted per tag),
+/// then the active forward kernels for distances, propagation phasors, and
+/// the multi-tag synthesize pass. RNG-free. `variant` forces a specific
+/// kernel variant (tests/benches); null uses the dispatcher's pick.
 std::vector<SynthChannels> synthesize_forward_channels(
     const RflySystem& system, const ForwardPlane& plane,
     const std::vector<Vec3>& tag_positions,

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/forward_kernel.h"
 #include "core/inventory.h"
 #include "core/system.h"
 #include "drone/flight.h"
@@ -51,24 +50,12 @@ struct ScanMissionConfig {
   /// dominant cost): 0 = hardware concurrency, 1 = serial. The report is
   /// identical at every setting.
   unsigned localize_threads = 0;
-  /// SAR evaluation kernel for heatmaps and peak refinement. kExact (the
-  /// default) reproduces the seed report bit-for-bit; kFast trades last-ulp
-  /// agreement for the SIMD kernel's speed (same discovered/localized sets,
-  /// estimates within a fraction of the grid resolution).
-  localize::SarKernel sar_kernel = localize::SarKernel::kExact;
-  /// SAR search strategy (see sar_kernel.h). kExact keeps the legacy batch
+  /// SAR search strategy (see sar_kernel.h). kExact keeps the batch
   /// sweep; kIncremental streams the same sums through SarAccumulator —
-  /// final estimates stay bit-identical with the exact kernel, and each
-  /// item additionally carries its live per-waypoint estimate sequence;
-  /// kCoarseToFine trades the full sweep for a coarse lattice + top-K
-  /// refinement.
+  /// the same final estimates, and each item additionally carries its
+  /// live per-waypoint estimate sequence; kCoarseToFine trades the full
+  /// sweep for a coarse lattice + top-K refinement.
   localize::SarSearch sar_search = localize::SarSearch::kExact;
-  /// Measurement-synthesis plane for the measure stage (forward_kernel.h).
-  /// kExact hoists the per-waypoint channels once per flight (shared across
-  /// tags and missions) and is bit-identical to the seed; kFast additionally
-  /// synthesizes channels with the multiversioned SIMD forward kernels
-  /// (equivalent, not bit-identical).
-  MeasurePlane measure_plane = MeasurePlane::kExact;
 };
 
 struct ScannedItem {

@@ -186,99 +186,15 @@ double RflySystem::estimate_noise_sigma() const {
 Expected<localize::MeasurementSet> RflySystem::collect_measurements(
     const std::vector<drone::FlownPoint>& flight, const Vec3& tag_pos,
     Rng& rng) const {
-  return collect_measurements(flight, tag_pos, rng,
-                              ForwardPlane::build(*this, flight));
+  const ForwardPlane plane = ForwardPlane::build(*this, flight);
+  const std::vector<SynthChannels> synth =
+      synthesize_forward_channels(*this, plane, {tag_pos});
+  return collect_measurements(flight, rng, plane, synth.front());
 }
 
-// Plane-backed exact collect: every expression below is the seed scalar
-// loop's expression (tag_incident_power_dbm, reply_snr_db,
-// measured_target_channel inlined) with per-waypoint operands read from the
-// plane (which stored the same functions' results, evaluated once per
-// flight) and per-tag operands hoisted out of the loop. No value is
-// computed differently — only fewer times. This TU and the test-local copy
-// of the seed loop in tests/test_measure_plane.cpp both compile under the
-// project defaults (ISO C++20: no FP contraction), which pins them
-// bit-identical.
-Expected<localize::MeasurementSet> RflySystem::collect_measurements(
-    const std::vector<drone::FlownPoint>& flight, const Vec3& tag_pos,
-    Rng& rng, const ForwardPlane& plane) const {
-  if (flight.empty()) {
-    return Status{StatusCode::kEmptyFlightPlan,
-                  "cannot collect measurements over an empty flight"};
-  }
-  localize::MeasurementSet set;
-  set.reserve(flight.size());
-  const double sigma = estimate_noise_sigma();
-  // Per-tag constants the seed loop re-derives at every point.
-  const double drho = backscatter_delta_rho();
-  const double drho_db = amplitude_to_db(drho);
-  const double noise_dbm = watts_to_dbm(signal::thermal_noise_power(
-      2.0 * config_.blf_hz, config_.reader_noise_figure_db));
-  const cdouble hw = cis(config_.relay_hardware_phase_rad);
-  const double rx_amp = db_to_amplitude(config_.reader_rx_gain_dbi);
-  cdouble direct_term{0.0, 0.0};
-  if (config_.include_direct_path) {
-    channel::LinkGains gains;
-    gains.rx_gain_dbi = config_.tag.antenna_gain_dbi;
-    const cdouble hd = channel::point_to_point_channel(
-        environment_, reader_position_, tag_pos, config_.carrier_hz, gains);
-    direct_term = hd * hd * drho;
-  }
-  for (std::size_t i = 0; i < flight.size(); ++i) {
-    const auto& point = flight[i];
-    // The only remaining per-(point, tag) channel evaluation.
-    const cdouble h2 = relay_tag_channel(point.actual, tag_pos);
-    const double h2_abs_db = amplitude_to_db(std::abs(h2));
-    const double incident_dbm = plane.relay_tx_dbm[i] + h2_abs_db;
-    if (incident_dbm < config_.tag.sensitivity_dbm) {
-      continue;
-    }
-    const double backscatter_dbm = incident_dbm + drho_db + h2_abs_db;
-    const double relay_out_dbm =
-        saturated_output_dbm(backscatter_dbm, config_.relay_uplink_gain_db,
-                             config_.relay_uplink_max_out_dbm);
-    const double at_reader_dbm =
-        relay_out_dbm + plane.h1_abs_db[i] + config_.reader_rx_gain_dbi;
-    if (at_reader_dbm - noise_dbm < config_.decode_snr_threshold_db) {
-      continue;
-    }
-    const double g_u = db_to_amplitude(
-        saturated_gain_db(backscatter_dbm, config_.relay_uplink_gain_db,
-                          config_.relay_uplink_max_out_dbm));
-    const cdouble h1 = plane.h1[i];
-    localize::RelayMeasurement m;
-    m.relay_position = point.reported;
-    cdouble h = h1 * h1 * plane.g_d_amp[i] * g_u * drho * h2 * h2 * hw * rx_amp;
-    if (config_.include_direct_path) {
-      h += direct_term;
-    }
-    m.target_channel = h;
-    m.embedded_channel = plane.embedded[i];
-    if (config_.amplitude_ripple_std_db > 0.0 || config_.phase_ripple_std_rad > 0.0) {
-      m.target_channel *=
-          db_to_amplitude(rng.gaussian(0.0, config_.amplitude_ripple_std_db)) *
-          cis(rng.gaussian(0.0, config_.phase_ripple_std_rad));
-    }
-    if (sigma > 0.0) {
-      m.target_channel += cdouble{rng.gaussian(0.0, sigma / std::sqrt(2.0)),
-                                  rng.gaussian(0.0, sigma / std::sqrt(2.0))};
-      m.embedded_channel += cdouble{rng.gaussian(0.0, sigma / std::sqrt(2.0)),
-                                    rng.gaussian(0.0, sigma / std::sqrt(2.0))};
-    }
-    set.push_back(m);
-  }
-  if (set.empty()) {
-    return Status{StatusCode::kInsufficientData,
-                  "tag unpowered or undecodable at all " +
-                      std::to_string(flight.size()) + " flight points"};
-  }
-  return set;
-}
-
-// Fast-path collect: channels and readability precomputed by the forward
-// kernels (RNG-free), so this loop only sequences the stochastic draws —
-// in exactly the order the exact loop would (see the RNG contract in
-// system.h).
+// Channels and readability precomputed by the forward kernels (RNG-free),
+// so this loop only sequences the stochastic draws, in the order the RNG
+// contract in system.h documents.
 Expected<localize::MeasurementSet> RflySystem::collect_measurements(
     const std::vector<drone::FlownPoint>& flight, Rng& rng,
     const ForwardPlane& plane, const SynthChannels& synth) const {

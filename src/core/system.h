@@ -151,9 +151,10 @@ class RflySystem {
   /// flight has no points and kInsufficientData (with how many points were
   /// tried) when the tag is unpowered or undecodable at every point.
   ///
-  /// This overload builds a ForwardPlane for `flight` and runs the exact
-  /// plane-backed collect below; callers that collect several tags over one
-  /// flight should build (or cache) the plane once and call that overload.
+  /// This overload builds a ForwardPlane for `flight`, synthesizes the one
+  /// tag's channels and runs the collect below; callers that collect
+  /// several tags over one flight should build (or cache) the plane once
+  /// and synthesize every tag in one synthesize_forward_channels call.
   ///
   /// RNG contract (pinned by the draw-order golden in
   /// tests/test_measure_plane.cpp): no shadowing is drawn here; for each
@@ -161,28 +162,18 @@ class RflySystem {
   /// gaussians (amplitude dB, then phase rad — only when either ripple std
   /// is > 0) followed by four noise gaussians (target re/im, embedded
   /// re/im — only when the estimate sigma is > 0) are consumed, in flight
-  /// order; skipped points draw nothing. Every overload keeps this
-  /// sequence — all channel math is RNG-free.
+  /// order; skipped points draw nothing. All channel math is RNG-free.
   Expected<localize::MeasurementSet> collect_measurements(
       const std::vector<drone::FlownPoint>& flight, const Vec3& tag_pos,
       Rng& rng) const;
 
-  /// Plane-backed exact collect: every per-waypoint quantity (reader↔relay
-  /// channel, capped downlink drive, downlink gain, embedded channel) is
-  /// read from a ForwardPlane built once per flight instead of being
-  /// re-derived ~5× per point per tag. Bit-identical to the seed's scalar
-  /// loop — the plane stores values produced by the same expressions,
-  /// evaluated once (pinned against a test-local copy of that loop by the
-  /// `measure` parity matrix).
-  Expected<localize::MeasurementSet> collect_measurements(
-      const std::vector<drone::FlownPoint>& flight, const Vec3& tag_pos,
-      Rng& rng, const ForwardPlane& plane) const;
-
-  /// Fast-path collect: consumes channels and readability masks synthesized
-  /// by the multiversioned forward kernels (linear-domain power math, SIMD
-  /// across waypoints). Mathematically equivalent but not bit-identical to
-  /// the exact path; opt-in via measure.plane=fast. Draw order is still the
-  /// exact sequence documented above — synthesis is RNG-free.
+  /// Collect from channels and readability masks synthesized by the
+  /// multiversioned forward kernels (linear-domain power math, SIMD across
+  /// waypoints): `synth` is one tag's entry of synthesize_forward_channels
+  /// over `plane`, which was built from `flight`. The scalar per-point
+  /// formulas (tag_incident_power_dbm, reply_snr_db,
+  /// measured_target_channel) stay as the test reference this path is
+  /// pinned against: same readable points, channels equal to rounding.
   Expected<localize::MeasurementSet> collect_measurements(
       const std::vector<drone::FlownPoint>& flight, Rng& rng,
       const ForwardPlane& plane, const SynthChannels& synth) const;

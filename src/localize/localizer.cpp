@@ -122,6 +122,7 @@ Expected<LocalizationResult> localize_2d_coarse2fine(const DisentangledSet& set,
   peaks.resize(static_cast<std::size_t>(n));
   const SarGeometry geo = SarGeometry::from(set, config.freq_hz);
   std::vector<std::size_t> cells(peaks.size(), 0);
+  const std::size_t window = 2 * (stride + 1) + 1;  // cells per window side
   parallel_for(
       0, peaks.size(), 1,
       [&](std::size_t begin, std::size_t end) {
@@ -131,7 +132,7 @@ Expected<LocalizationResult> localize_2d_coarse2fine(const DisentangledSet& set,
                                          &cells[i]);
         }
       },
-      threads);
+      threads_for_work(threads, peaks.size() * window * window * geo.size()));
   c2f_refined_cells().observe(static_cast<double>(
       std::accumulate(cells.begin(), cells.end(), std::size_t{0})));
   std::sort(peaks.begin(), peaks.end(),
@@ -172,16 +173,19 @@ Expected<LocalizationResult> finish_from_map(const DisentangledSet& set,
     // Each candidate refines independently into its own slot; identical at
     // any thread count.
     const SarGeometry geo = SarGeometry::from(set, config.freq_hz);
+    const double patch_half_width = config.coarse_resolution_m * 1.5;
+    const auto side = static_cast<std::size_t>(
+        2.0 * patch_half_width / config.grid.resolution_m + 1.0);
     parallel_for(
         0, peaks.size(), 1,
         [&](std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) {
             peaks[i] = refine_peak(geo, peaks[i], config.grid.resolution_m,
-                                   config.coarse_resolution_m * 1.5,
-                                   config.z_plane_m, config.kernel);
+                                   patch_half_width, config.z_plane_m,
+                                   config.kernel);
           }
         },
-        threads);
+        threads_for_work(threads, peaks.size() * side * side * geo.size()));
     std::sort(peaks.begin(), peaks.end(),
               [](const Peak& a, const Peak& b) { return a.value > b.value; });
   }

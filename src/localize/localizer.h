@@ -28,15 +28,16 @@ struct LocalizerConfig {
   /// 1 = the exact legacy serial path, n = at most n threads. Results are
   /// identical at every setting (see DESIGN.md "Parallel SAR engine").
   unsigned threads = 0;
-  /// SAR evaluation kernel (see sar_kernel.h). kExact keeps every output
-  /// bit-identical to the seed and is the default; kFast runs the SIMD
-  /// kernel (same argmax cell, refined peaks within a fraction of the
-  /// resolution — see DESIGN.md "SIMD SAR kernel layer").
-  SarKernel kernel = SarKernel::kExact;
+  /// SAR evaluation kernel (see sar_kernel.h). kFast, the SIMD kernel, is
+  /// what every mission and trial runs; kExact, the seed's libm loop, is
+  /// the reference tests and the kernel comparison benches pin it against
+  /// (same argmax cell, values equal to rounding — see DESIGN.md "SIMD SAR
+  /// kernel layer").
+  SarKernel kernel = SarKernel::kFast;
   /// Search strategy (see sar_kernel.h), orthogonal to `kernel`. kExact is
   /// the legacy sweep; kIncremental builds the same heatmap through
-  /// SarAccumulator (bit-identical result with the exact kernel; this is
-  /// the mode that streams live estimates in the mission pipeline);
+  /// SarAccumulator (the same argmax; this is the mode that streams live
+  /// estimates in the mission pipeline);
   /// kCoarseToFine scans the fine lattice every `coarse_resolution_m`,
   /// keeps the top `refine_candidates` peaks, and refines each one's
   /// neighborhood at full resolution — every refined candidate is a true
@@ -114,7 +115,7 @@ struct Localization3dResult {
 struct Localize3dConfig {
   double freq_hz = 915e6;
   unsigned threads = 0;
-  SarKernel kernel = SarKernel::kExact;
+  SarKernel kernel = SarKernel::kFast;
   /// kExact: brute-force volume scan. kIncremental: the same sums grown
   /// per z-slice through SarAccumulator (row-blocked evaluation — with the
   /// fast kernel this alone beats the per-point brute scan). kCoarseToFine:

@@ -266,7 +266,7 @@ Heatmap sar_heatmap(const DisentangledSet& set, const GridSpec& grid, double fre
         }
         sar_cells().add((row_end - row_begin) * nx);
       },
-      threads);
+      threads_for_work(threads, nx * ny * L));
   return map;
 }
 
@@ -399,7 +399,7 @@ void sar_heatmap_multi(const SharedTrajectory& trajectory, const SharedGrid& gri
         }
         sar_cells().add((row_end - row_begin) * nx * count);
       },
-      threads);
+      threads_for_work(threads, nx * ny * L * count));
 }
 
 SarAccumulator::SarAccumulator(const GridSpec& grid, double freq_hz,
@@ -471,7 +471,7 @@ void SarAccumulator::apply(const DisentangledSet& set, double sign) {
         }
         sar_cells().add((row_end - row_begin) * nx);
       },
-      threads);
+      threads_for_work(threads, nx * ny * L));
   sar_accumulator_samples().add(L);
   if (sign > 0.0) {
     count_ += L;

@@ -5,10 +5,11 @@
 // channel. The conjugate phase compensates the round-trip delay, so P peaks
 // where the hypothesized location explains every measurement coherently.
 //
-// Two kernels evaluate P (see sar_kernel.h): `exact` is the seed's libm
-// loop, kept bit-identical as the golden reference; `fast` is the blocked
-// SIMD kernel (batched polynomial sincos, runtime ISA dispatch) that must
-// reproduce the same argmax cell and sub-resolution peaks within tolerance.
+// Two kernels evaluate P (see sar_kernel.h): `fast`, the blocked SIMD
+// kernel (batched polynomial sincos, runtime ISA dispatch), is the default
+// and what every mission runs; `exact`, the seed's libm loop, is kept
+// bit-identical as the reference tests and the kernel comparison benches
+// pin `fast` against (same argmax cell, values equal to rounding).
 #pragma once
 
 #include <cstddef>
@@ -110,11 +111,12 @@ class ExactRowEvaluator {
 /// bit-identical for every thread count — with either kernel
 /// (tests/test_sar_parity.cpp covers the threads x kernel matrix).
 ///
-/// `kernel`: kExact reproduces the seed output bit-for-bit; kFast runs
-/// the SIMD kernel (identical argmax, values within ~1e-12 relative).
+/// `kernel`: kFast (the default) runs the SIMD kernel; kExact reproduces
+/// the seed output bit-for-bit (identical argmax, values within ~1e-12
+/// relative of each other).
 Heatmap sar_heatmap(const DisentangledSet& set, const GridSpec& grid, double freq_hz,
                     double z_plane = 0.0, unsigned threads = 0,
-                    SarKernel kernel = SarKernel::kExact);
+                    SarKernel kernel = SarKernel::kFast);
 
 /// Trajectory positions as shared SoA arrays — the cacheable half of
 /// SarGeometry (channel weights are per tag and per mission; positions
@@ -166,19 +168,19 @@ struct MultiTagSlot {
 void sar_heatmap_multi(const SharedTrajectory& trajectory, const SharedGrid& grid,
                        double freq_hz, double z_plane, const MultiTagSlot* slots,
                        std::size_t count, unsigned threads = 0,
-                       SarKernel kernel = SarKernel::kExact);
+                       SarKernel kernel = SarKernel::kFast);
 
 /// Evaluate P at a single 3D point (used by peak refinement, the 3D
 /// extension and tests). The exact path is the seed loop, bit-identical.
 double sar_projection(const DisentangledSet& set, const channel::Vec3& p,
-                      double freq_hz, SarKernel kernel = SarKernel::kExact);
+                      double freq_hz, SarKernel kernel = SarKernel::kFast);
 
 /// Same, over a prebuilt geometry — the fast path for refinement loops
 /// that evaluate many points against one measurement set (hoists the SoA
 /// conversion out of the point loop). Exact here still means the libm
 /// sincos in sequential sample order.
 double sar_projection(const SarGeometry& geo, const channel::Vec3& p,
-                      SarKernel kernel = SarKernel::kExact);
+                      SarKernel kernel = SarKernel::kFast);
 
 /// A position estimate emitted while the aperture is still being collected
 /// (incremental search): the current heatmap argmax plus how much evidence
@@ -220,7 +222,7 @@ struct LiveEstimate {
 class SarAccumulator {
  public:
   SarAccumulator(const GridSpec& grid, double freq_hz, double z_plane = 0.0,
-                 SarKernel kernel = SarKernel::kExact, unsigned threads = 1);
+                 SarKernel kernel = SarKernel::kFast, unsigned threads = 1);
 
   const GridSpec& grid() const { return grid_; }
   std::size_t measurement_count() const { return count_; }
@@ -252,7 +254,7 @@ class SarAccumulator {
   GridSpec grid_;
   double freq_hz_ = 915e6;
   double z_plane_ = 0.0;
-  SarKernel kernel_ = SarKernel::kExact;
+  SarKernel kernel_ = SarKernel::kFast;
   unsigned threads_ = 1;
   std::vector<double> xs_, ys_;  // hoisted cell coordinates, as sar_heatmap
   std::vector<double> re_, im_;  // per-cell partial sums, row-major

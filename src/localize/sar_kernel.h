@@ -1,15 +1,16 @@
 // SAR kernel layer: the matched-filter inner loop (paper Eq. 11-12) as a
 // family of interchangeable kernels.
 //
-//   - `exact`  — the seed's libm loop, kept bit-identical so every golden
-//                and serial-parity guarantee in the test suite still pins
-//                the reference output.
-//   - `fast`   — a blocked, data-parallel kernel: cells are processed in
-//                lane-width blocks whose accumulators live in registers,
-//                distances come from batched sqrt, and the per-sample
-//                sin/cos pair — the innermost cost of the whole system —
-//                is the branch-free polynomial sincos from common/simd.h
-//                (a batched-scalar build where no SIMD ISA is compiled in).
+//   - `exact`  — the seed's libm loop, kept bit-identical as the
+//                reference the test suite and the kernel comparison benches
+//                pin `fast` against. No mission or trial runs it.
+//   - `fast`   — the production kernel, blocked and data-parallel: cells
+//                are processed in lane-width blocks whose accumulators
+//                live in registers, distances come from batched sqrt, and
+//                the per-sample sin/cos pair — the innermost cost of the
+//                whole system — is the branch-free polynomial sincos from
+//                common/simd.h (a batched-scalar build where no SIMD ISA
+//                is compiled in).
 //
 // The fast kernel is compiled several times from one source
 // (sar_kernel_impl.inc) under different target ISAs; a runtime-dispatch
@@ -24,12 +25,11 @@
 
 namespace rfly::localize {
 
-/// Kernel selector, a first-class knob on LocalizerConfig, ScanMissionConfig
-/// and the scenario format (`localize.sar_kernel = exact|fast`).
+/// Kernel selector on LocalizerConfig, Localize3dConfig and the SAR entry
+/// points. Every default is kFast; kExact is the test reference.
 enum class SarKernel : std::uint8_t { kExact = 0, kFast = 1 };
 
-/// "exact", "fast" (stable; used by the scenario serializer and the
-/// --kernel bench flag).
+/// "exact", "fast" (stable).
 const char* sar_kernel_name(SarKernel kernel);
 
 /// Parse a kernel name; false on anything but the two names above.
@@ -43,9 +43,10 @@ bool parse_sar_kernel(const std::string& text, SarKernel& out);
 ///                     volume scan), bit-identical to the seed.
 ///   - `incremental` — grow the same per-cell partial sums measurement by
 ///                     measurement through SarAccumulator (sar.h). Provably
-///                     equivalent to the batch sweep — bit-identical with
-///                     the exact kernel — and the mode that streams live
-///                     per-waypoint estimates during a mission.
+///                     equivalent to the batch sweep — the same argmax, and
+///                     bit-identical with the exact kernel — and the mode
+///                     that streams live per-waypoint estimates during a
+///                     mission.
 ///   - `coarse2fine` — coarse lattice sweep, top-K candidate cells, then
 ///                     full-resolution refinement of each candidate's
 ///                     neighborhood; bounded against brute force by the

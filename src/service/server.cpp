@@ -257,6 +257,7 @@ bool MissionService::handle_submit(int fd, const std::string& payload) {
       job.result_bytes = *cached;
       job.submit_seconds = now_seconds();
       jobs_.emplace(id, std::move(job));
+      retire_locked(id);
       ++submitted_;
       ++completed_;
     }
@@ -328,8 +329,8 @@ bool MissionService::handle_status(int fd, const std::string& payload) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = jobs_.find(id);
     if (it == jobs_.end()) {
-      send_error(fd, StatusCode::kNotFound,
-                 "job " + std::to_string(id) + " unknown");
+      const Status missing = missing_job_locked(id);
+      send_error(fd, missing.code(), missing.message());
       return true;
     }
     state = it->second.state;
@@ -354,23 +355,24 @@ bool MissionService::handle_result(int fd, const std::string& payload) {
   std::string bytes;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    auto it = jobs_.find(id);
-    if (it == jobs_.end()) {
-      lock.unlock();
-      send_error(fd, StatusCode::kNotFound,
-                 "job " + std::to_string(id) + " unknown");
-      return true;
-    }
     if (wait != 0) {
       // Block this connection until the job is terminal. Shutdown wakes
       // every waiter: drained jobs arrive kDone, abandoned ones kCancelled.
+      // A finished job may be evicted before this waiter runs again.
       done_cv_.wait(lock, [&] {
-        const Job& job = jobs_.at(id);
-        return job.state == JobState::kDone ||
-               job.state == JobState::kCancelled;
+        const auto it = jobs_.find(id);
+        return it == jobs_.end() || it->second.state == JobState::kDone ||
+               it->second.state == JobState::kCancelled;
       });
     }
-    const Job& job = jobs_.at(id);
+    const auto it = jobs_.find(id);
+    if (it == jobs_.end()) {
+      const Status missing = missing_job_locked(id);
+      lock.unlock();
+      send_error(fd, missing.code(), missing.message());
+      return true;
+    }
+    const Job& job = it->second;
     if (job.state == JobState::kCancelled) {
       lock.unlock();
       send_error(fd, StatusCode::kUnavailable,
@@ -404,8 +406,8 @@ bool MissionService::handle_cancel(int fd, const std::string& payload) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = jobs_.find(id);
     if (it == jobs_.end()) {
-      send_error(fd, StatusCode::kNotFound,
-                 "job " + std::to_string(id) + " unknown");
+      const Status missing = missing_job_locked(id);
+      send_error(fd, missing.code(), missing.message());
       return true;
     }
     if (it->second.state == JobState::kQueued) {
@@ -418,6 +420,7 @@ bool MissionService::handle_cancel(int fd, const std::string& payload) {
       it->second.state = JobState::kCancelled;
       ++cancelled_;
       removed = 1;
+      retire_locked(id);  // evicts an older job, never this one
     }
     state = it->second.state;
     depth = queue_.size();
@@ -503,6 +506,7 @@ void MissionService::worker_loop() {
     Job& done = jobs_.at(id);
     done.result_bytes = std::move(bytes);
     done.state = JobState::kDone;
+    retire_locked(id);
     ++completed_;
     ++simulated_;
     --in_flight_;
@@ -510,6 +514,25 @@ void MissionService::worker_loop() {
     completed_counter().inc();
     done_cv_.notify_all();
   }
+}
+
+void MissionService::retire_locked(std::uint64_t id) {
+  finished_.push_back(id);
+  while (finished_.size() > kFinishedJobRetention) {
+    jobs_.erase(finished_.front());
+    finished_.pop_front();
+  }
+}
+
+Status MissionService::missing_job_locked(std::uint64_t id) const {
+  // Ids are issued in order from 1 and a job leaves the table only by
+  // eviction, so an issued id that is not there was evicted.
+  if (id != 0 && id < next_job_id_) {
+    return {StatusCode::kNotFound,
+            "job " + std::to_string(id) + " was evicted: the service keeps the " +
+                std::to_string(kFinishedJobRetention) + " most recently finished jobs"};
+  }
+  return {StatusCode::kNotFound, "job " + std::to_string(id) + " unknown"};
 }
 
 void MissionService::request_shutdown(bool drain) {
@@ -526,6 +549,7 @@ void MissionService::request_shutdown(bool drain) {
           job.state = JobState::kCancelled;
           ++cancelled_;
           cancelled_counter().inc();
+          retire_locked(id);
         }
       }
       queue_.clear();

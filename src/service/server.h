@@ -18,6 +18,10 @@
 //   - Observability: queue depth / jobs in flight gauges, submit/reject/
 //     complete/cache counters, job + queue-wait histograms under
 //     `service.*`.
+//   - Retention: the job table keeps at most kFinishedJobRetention finished
+//     (done or cancelled) jobs; beyond that the oldest finished job is
+//     evicted, and STATUS/RESULT for its id answer kNotFound saying so.
+//     Queued and running jobs are never evicted.
 #pragma once
 
 #include <condition_variable>
@@ -85,6 +89,11 @@ class MissionService {
   /// Point-in-time counters (same numbers the STATS command returns).
   ServiceStats stats() const;
 
+  /// Finished jobs the table keeps for STATUS/RESULT. A client reads its
+  /// result right after the job finishes, so this only bounds memory on a
+  /// daemon that serves jobs forever.
+  static constexpr std::size_t kFinishedJobRetention = 1024;
+
  private:
   struct Job {
     sim::Scenario scenario;
@@ -115,6 +124,13 @@ class MissionService {
   bool send_error(int fd, StatusCode code, const std::string& message,
                   std::uint32_t retry_after_ms = 0);
 
+  /// Record that job `id` reached a terminal state and evict the oldest
+  /// finished jobs beyond kFinishedJobRetention. Requires mu_.
+  void retire_locked(std::uint64_t id);
+  /// kNotFound for an id the table does not hold: evicted when it was
+  /// issued, unknown otherwise. Requires mu_.
+  Status missing_job_locked(std::uint64_t id) const;
+
   ServiceStats stats_locked() const;  // requires mu_
 
   ServiceConfig config_;
@@ -129,6 +145,7 @@ class MissionService {
   std::condition_variable done_cv_;   // waiters: a job reached a terminal state
   std::unordered_map<std::uint64_t, Job> jobs_;
   std::deque<std::uint64_t> queue_;
+  std::deque<std::uint64_t> finished_;  // terminal job ids, oldest first
   std::uint64_t next_job_id_ = 1;
   std::size_t in_flight_ = 0;
   bool draining_ = false;  // no new submissions

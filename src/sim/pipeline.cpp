@@ -151,7 +151,6 @@ localize::LocalizerConfig stage_localizer_config(
     const core::ScanMissionConfig& config, const Vec3& centroid) {
   localize::LocalizerConfig loc;
   loc.threads = config.localize_threads;
-  loc.kernel = config.sar_kernel;
   loc.search = config.sar_search;
   loc.freq_hz = config.system.carrier_hz + config.system.freq_shift_hz;
   loc.peak_threshold_fraction = config.peak_threshold_fraction;
@@ -231,11 +230,10 @@ Expected<MissionRun> run_mission_pipeline(const core::ScanMissionConfig& config,
 
   // --- measure plane: hoist the per-waypoint forward-channel state once
   // per flight — shared across every tag below, and across missions flying
-  // the same flight through the same system via the global plane cache.
-  // Entirely RNG-free, so the mission Rng sequence (and with it the report)
-  // is untouched. validate_mission guarantees a non-empty flight and tag
-  // population, so every tag below collects against this plane.
-  const bool fast_plane = config.measure_plane == core::MeasurePlane::kFast;
+  // the same flight through the same system via the global plane cache —
+  // then synthesize every tag's channels in one forward-kernel pass.
+  // Entirely RNG-free, so the mission Rng sequence is untouched.
+  // validate_mission guarantees a non-empty flight and tag population.
   std::shared_ptr<const core::ForwardPlane> plane;
   std::vector<core::SynthChannels> synth;
   {
@@ -243,12 +241,10 @@ Expected<MissionRun> run_mission_pipeline(const core::ScanMissionConfig& config,
     plane = core::global_forward_plane_cache().get_or_build(
         core::plane_key(system, flight),
         [&] { return core::ForwardPlane::build(system, flight); });
-    if (fast_plane) {
-      std::vector<Vec3> positions;
-      positions.reserve(tags.size());
-      for (const auto& placement : tags) positions.push_back(placement.position);
-      synth = core::synthesize_forward_channels(system, *plane, positions);
-    }
+    std::vector<Vec3> positions;
+    positions.reserve(tags.size());
+    for (const auto& placement : tags) positions.push_back(placement.position);
+    synth = core::synthesize_forward_channels(system, *plane, positions);
   }
 
   // Gen2 discovery: run inventory rounds at each tag's closest approach.
@@ -320,11 +316,7 @@ Expected<MissionRun> run_mission_pipeline(const core::ScanMissionConfig& config,
     localize::MeasurementSet clean;
     {
       StageTimer timer(run.trace, Stage::kMeasure);
-      auto collected =
-          fast_plane
-              ? system.collect_measurements(flight, rng, *plane, synth[i])
-              : system.collect_measurements(flight, tags[i].position, rng,
-                                            *plane);
+      auto collected = system.collect_measurements(flight, rng, *plane, synth[i]);
       if (!collected) {
         item.status =
             collected.status().with_context("tag " + std::to_string(i));
@@ -394,7 +386,7 @@ Expected<MissionRun> run_mission_pipeline(const core::ScanMissionConfig& config,
                        localize::LocalizerConfig{}.coarse_resolution_m);
           localize::SarAccumulator acc(
               live_grid, config.system.carrier_hz + config.system.freq_shift_hz,
-              /*z_plane=*/0.0, config.sar_kernel, config.localize_threads);
+              /*z_plane=*/0.0, localize::SarKernel::kFast, config.localize_threads);
           item.live.clear();
           item.live.reserve(half_link.channels.size());
           for (std::size_t s = 0; s < half_link.channels.size(); ++s) {

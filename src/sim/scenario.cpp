@@ -263,26 +263,12 @@ const std::vector<FieldDef>& registry() {
                    s.localize_threads = static_cast<unsigned>(threads);
                    return true;
                  }});
-    f.push_back({"localize.sar_kernel",
-                 [](const Scenario& s) {
-                   return std::string(localize::sar_kernel_name(s.sar_kernel));
-                 },
-                 [](Scenario& s, const std::string& v) {
-                   return localize::parse_sar_kernel(v, s.sar_kernel);
-                 }});
     f.push_back({"localize.search",
                  [](const Scenario& s) {
                    return std::string(localize::sar_search_name(s.sar_search));
                  },
                  [](Scenario& s, const std::string& v) {
                    return localize::parse_sar_search(v, s.sar_search);
-                 }});
-    f.push_back({"measure.plane",
-                 [](const Scenario& s) {
-                   return std::string(core::measure_plane_name(s.measure_plane));
-                 },
-                 [](Scenario& s, const std::string& v) {
-                   return core::parse_measure_plane(v, s.measure_plane);
                  }});
 
     f.push_back(double_field("faults.dropout",
@@ -636,6 +622,14 @@ Status apply_override(Scenario& scenario, const std::string& key,
   }
   const FieldDef* field = find_field(key);
   if (field == nullptr) {
+    // These keys chose between the libm kernels and the SIMD ones; every
+    // mission now runs the SIMD kernels, so old text fails loudly.
+    if (key == "localize.sar_kernel" || key == "measure.plane") {
+      return {StatusCode::kParseError,
+              "scenario key '" + key +
+                  "' was removed: missions always run the SIMD SAR and "
+                  "forward-synthesis kernels"};
+    }
     return {StatusCode::kNotFound, "unknown scenario key '" + key + "'"};
   }
   if (!field->set(scenario, value)) {
@@ -771,9 +765,7 @@ core::ScanMissionConfig mission_config(const Scenario& scenario) {
   config.grid_margin_to_path_m = scenario.grid_margin_to_path_m;
   config.tags_below_path = scenario.tags_below_path;
   config.localize_threads = scenario.localize_threads;
-  config.sar_kernel = scenario.sar_kernel;
   config.sar_search = scenario.sar_search;
-  config.measure_plane = scenario.measure_plane;
   return config;
 }
 

@@ -102,10 +102,7 @@ struct Scenario {
   double grid_margin_to_path_m = 0.3;
   bool tags_below_path = true;
   unsigned localize_threads = 0;
-  localize::SarKernel sar_kernel = localize::SarKernel::kExact;
   localize::SarSearch sar_search = localize::SarSearch::kExact;
-  /// Measurement-synthesis plane (`measure.plane = exact|fast`).
-  core::MeasurePlane measure_plane = core::MeasurePlane::kExact;
 
   /// Fault model (`faults.*` keys). All rates default to zero: a scenario
   /// without faults keys runs bit-identically to one predating the layer.
@@ -127,10 +124,11 @@ Status validate(const Scenario& scenario);
 /// to round-trip exactly; parse(serialize(s)) reproduces s bit-for-bit.
 std::string serialize(const Scenario& scenario);
 
-/// Parse scenario text. Unknown keys, malformed values, wrong arity, and
+/// Parse scenario text. Malformed values, wrong arity, removed keys and
 /// duplicate scalar keys (which used to silently keep the last value) are
-/// kParseError with the line number in context; a duplicate also names the
-/// line that first set the key. The result is validated.
+/// kParseError, unknown keys kNotFound, all with the line number in
+/// context; a duplicate also names the line that first set the key. The
+/// result is validated.
 Expected<Scenario> parse_scenario(const std::string& text);
 
 /// Load + parse + validate a scenario file (kIoError if unreadable).
@@ -138,7 +136,8 @@ Expected<Scenario> load_scenario_file(const std::string& path);
 
 /// Apply one `key=value` override (same keys as the serialized form;
 /// `leg = ...`, `tag = ...`, and `fleet.reader = ...` append). Unknown
-/// key -> kNotFound.
+/// key -> kNotFound; a removed key (`localize.sar_kernel`,
+/// `measure.plane`) -> kParseError naming it.
 Status apply_override(Scenario& scenario, const std::string& key,
                       const std::string& value);
 

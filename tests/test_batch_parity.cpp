@@ -9,9 +9,10 @@
 //     sar_heatmap bitwise for both kernels at any thread count.
 //   - localize_2d_with_plane: handing the localizer a precomputed scan
 //     plane reproduces localize_2d_from bitwise for all three searches.
-//   - run_batch: the full matrix — batched vs per-mission, thread counts,
-//     kernels, searches, faults on/off, duplicate jobs, cold vs warm vs
-//     disabled cache — every cell bit-identical, every error context equal.
+//   - run_batch: the full matrix — batched vs per-mission, batch and
+//     per-mission SAR thread counts, searches, faults on/off, duplicate
+//     jobs, cold vs warm vs disabled cache — every cell bit-identical,
+//     every error context equal.
 //
 // Runs under the `batch` label: include it in the TSAN tree (coordinator /
 // worker handoff, cache mutex) and the ASan+UBSan tree (arena pointer
@@ -347,7 +348,10 @@ std::vector<BatchJob> matrix_jobs(const Scenario& scenario) {
 
 struct MatrixCase {
   unsigned threads;
-  localize::SarKernel kernel;
+  /// The scenario's `localize.threads`: 0 = each mission's SAR on the
+  /// shared pool, 1 = serial. (This byte selected the SAR kernel while
+  /// missions had a kernel knob; keeping its place keeps the case names.)
+  std::uint8_t localize_threads;
   localize::SarSearch search;
   bool faults;
 };
@@ -357,7 +361,7 @@ class BatchedVsPerMission : public ::testing::TestWithParam<MatrixCase> {};
 TEST_P(BatchedVsPerMission, BitIdenticalAcrossTheMatrix) {
   const MatrixCase c = GetParam();
   Scenario scenario = matrix_scenario();
-  scenario.sar_kernel = c.kernel;
+  scenario.localize_threads = c.localize_threads;
   scenario.sar_search = c.search;
   if (c.faults) scenario.faults.dropout = 0.2;
   const auto jobs = matrix_jobs(scenario);
@@ -381,12 +385,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::ValuesIn([] {
       std::vector<MatrixCase> cases;
       for (unsigned threads : {1u, 2u, 8u}) {
-        for (localize::SarKernel kernel :
-             {localize::SarKernel::kExact, localize::SarKernel::kFast}) {
+        for (std::uint8_t localize_threads : {0, 1}) {
           for (localize::SarSearch search :
                {localize::SarSearch::kExact, localize::SarSearch::kIncremental}) {
             for (bool faults : {false, true}) {
-              cases.push_back({threads, kernel, search, faults});
+              cases.push_back({threads, localize_threads, search, faults});
             }
           }
         }

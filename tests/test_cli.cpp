@@ -7,6 +7,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 
 #include "bench_util.h"
 
@@ -53,8 +54,8 @@ TEST(ParseCliNumber, IntegerBehaviorUnchanged) {
             StatusCode::kParseError);
 }
 
-// --search mirrors --kernel: a valid mode sets the knob and marks it
-// explicit (so scenario_runner lets the flag override the scenario file);
+// --search: a valid mode sets the knob and marks it explicit (so
+// scenario_runner lets the flag override the scenario file);
 // an unknown mode is a parse failure — the bench mains turn that false
 // into a non-zero exit after CliOptions printed the error and usage.
 TEST(CliOptions, SearchFlagParsesKnownModes) {
@@ -91,39 +92,39 @@ TEST(CliOptions, SearchFlagRejectsUnknownModeAndMissingValue) {
   EXPECT_FALSE(opts2.parse(2, argv2));
 }
 
-TEST(CliOptions, KernelFlagAcceptsExactAndFastOnly) {
+TEST(CliOptions, KernelFlagIsRejected) {
+  // Every bench runs the SIMD kernels; --kernel, with any value or none,
+  // is a parse error naming the flag, then usage.
   char prog[] = "bench";
   char flag[] = "--kernel";
   char exact[] = "exact";
-  char* argv[] = {prog, flag, exact};
-  CliOptions opts;
-  EXPECT_EQ(opts.kernel, localize::SarKernel::kFast);  // bench default
-  ASSERT_TRUE(opts.parse(3, argv));
-  EXPECT_EQ(opts.kernel, localize::SarKernel::kExact);
-  EXPECT_TRUE(opts.kernel_explicit);
-
-  // `auto` is no longer a kernel: parse error naming the flag, then usage.
-  char auto_mode[] = "auto";
-  char* argv2[] = {prog, flag, auto_mode};
-  CliOptions opts2;
-  ::testing::internal::CaptureStderr();
-  EXPECT_FALSE(opts2.parse(3, argv2));
-  const std::string err = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("--kernel wants exact|fast, got 'auto'"), std::string::npos)
-      << err;
-  EXPECT_NE(err.find("usage:"), std::string::npos) << err;
-  EXPECT_EQ(opts2.kernel, localize::SarKernel::kFast);  // never clobbered
-  EXPECT_FALSE(opts2.kernel_explicit);
+  char fast[] = "fast";
+  char* with_exact[] = {prog, flag, exact};
+  char* with_fast[] = {prog, flag, fast};
+  char* bare[] = {prog, flag};
+  for (auto [argc, argv] : {std::pair{3, with_exact}, std::pair{3, with_fast},
+                            std::pair{2, bare}}) {
+    CliOptions opts;
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(opts.parse(argc, argv));
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("PARSE_ERROR"), std::string::npos) << err;
+    EXPECT_NE(err.find("--kernel was removed"), std::string::npos) << err;
+    EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+    EXPECT_EQ(err.find("--kernel exact|fast"), std::string::npos) << err;
+  }
 }
 
 #ifdef RFLY_SCENARIO_RUNNER_PATH
-// The removed kernel/plane modes are command-line errors end to end:
-// scenario_runner prints the typed error and usage, and exits 2.
+// The removed kernel flag and kernel/plane keys are command-line errors
+// end to end: scenario_runner prints the typed error and usage, and exits
+// 2.
 TEST(ScenarioRunnerCli, RemovedModesExitTwoWithUsage) {
   const std::string err_path = ::testing::TempDir() + "/rfly_cli_err.txt";
   for (const char* args :
-       {"--kernel auto", "--set localize.sar_kernel=auto",
-        "--set measure.plane=off", "--set measure.plane=auto"}) {
+       {"--kernel exact", "--kernel fast", "--set localize.sar_kernel=exact",
+        "--set localize.sar_kernel=fast", "--set measure.plane=exact",
+        "--set measure.plane=fast", "--set measure.plane=off"}) {
     const std::string command = std::string(RFLY_SCENARIO_RUNNER_PATH) +
                                 " --scenario building --trials 1 " + args +
                                 " > /dev/null 2> " + err_path;

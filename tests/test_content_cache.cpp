@@ -136,8 +136,9 @@ struct PlaneKind {
       return out;
     }();
     const Value& f = fresh[static_cast<std::size_t>(i)];
-    return value.h1 == f.h1 && value.relay_tx_dbm == f.relay_tx_dbm &&
-           value.embedded == f.embedded && value.relay_tx_mw == f.relay_tx_mw;
+    return value.h1_re == f.h1_re && value.h1_im == f.h1_im &&
+           value.g_d_amp == f.g_d_amp && value.embedded == f.embedded &&
+           value.relay_tx_mw == f.relay_tx_mw;
   }
 };
 

@@ -1,30 +1,32 @@
 // Measurement-synthesis plane suite (`measure` label), pinned layer by
 // layer:
 //
-//   - Exact plane collect: the plane overload and the no-plane overload
-//     (which builds a plane and forwards) are bit-identical to the seed's
-//     scalar collect loop, kept below as a test-local reference — values,
-//     statuses, and rng consumption — via direct calls over a flown
-//     trajectory, across the ripple/noise/direct-path config variants.
+//   - Exact references: the seed's scalar collect loop and the plane-backed
+//     exact collect that replaced it in the mission until the SIMD forward
+//     kernels became the only production path, both kept below as
+//     test-local references. The plane-backed copy is bit-identical to the
+//     seed loop — values, statuses, and rng consumption — across the
+//     ripple/noise/direct-path config variants.
+//   - Production collect: the single-tag collect (one-tag synthesis) and
+//     the mission's multi-tag synthesis agree bitwise, keep the exact
+//     readable sets, statuses and rng consumption, and track the exact
+//     channels to tight relative tolerance.
 //   - RNG draw-order golden: the collect loop's documented draw contract
 //     (no shadowing; 2 ripple + 4 noise gaussians per surviving point, in
 //     flight order; skipped points draw nothing; gated by the ripple stds
 //     and the estimate sigma) reconstructed draw by draw from a fresh Rng.
 //   - Forward kernels: every compiled ISA variant agrees on readability
-//     masks and synthesized channels; fast synthesis tracks the exact
-//     channels to tight relative tolerance with identical readable sets.
+//     masks and synthesized channels.
 //   - Plane cache: config-sensitive keys and the
 //     measure.plane.channel_evals counter contract (one eval per waypoint
 //     per build, none on a hit). The cache contract itself is pinned for
 //     every value kind by tests/test_content_cache.cpp.
-//   - Scenario knob `measure.plane`: names, parse, serialize/parse
-//     round-trip, override; the removed `off`/`auto` modes are typed parse
-//     errors.
-//   - The full-mission parity matrix: measure.plane=exact reports match,
-//     across {threads 1/2/8} x {batched, per-mission} x {faults on/off},
-//     the report digests the seed's scalar collect loop produced for the
-//     same (seed, faults); the batch runner's forward plane cache stats
-//     warm deterministically.
+//   - The removed `measure.plane` scenario key is a typed parse error.
+//   - The full-mission parity matrix: mission reports match, across
+//     {threads 1/2/8} x {batched, per-mission} x {faults on/off}, the
+//     report digests the seed's scalar collect loop produced for the same
+//     (seed, faults); the batch runner's forward plane cache stats warm
+//     deterministically; mission estimates equal the exact SAR kernel's.
 //
 // Run it in the TSAN tree (shared immutable planes, cache mutex) and the
 // ASan+UBSan tree (kernel pointer arithmetic, SoA tails, per-tag tables).
@@ -35,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "channel/channel_model.h"
 #include "channel/environment.h"
 #include "common/digest.h"
 #include "common/math_util.h"
@@ -46,8 +49,11 @@
 #include "drone/flight.h"
 #include "drone/trajectory.h"
 #include "localize/measurement.h"
+#include "localize/localizer.h"
 #include "obs/metrics.h"
+#include "signal/noise.h"
 #include "sim/batch.h"
+#include "sim/pipeline.h"
 
 namespace rfly {
 namespace {
@@ -127,6 +133,90 @@ Expected<localize::MeasurementSet> seed_collect(
   return set;
 }
 
+/// The plane-backed exact collect, as the mission ran it before the SIMD
+/// forward kernels became the only production path: the seed loop's
+/// expressions (tag_incident_power_dbm, reply_snr_db,
+/// measured_target_channel inlined) with per-waypoint operands read from
+/// the plane (which stored the same functions' results, evaluated once per
+/// flight) and per-tag operands hoisted out of the loop. Bit-identical to
+/// seed_collect — pinned below.
+Expected<localize::MeasurementSet> exact_plane_collect(
+    const core::RflySystem& system, const std::vector<drone::FlownPoint>& flight,
+    const Vec3& tag_pos, Rng& rng, const core::ForwardPlane& plane) {
+  const auto& config = system.config();
+  if (flight.empty()) {
+    return Status{StatusCode::kEmptyFlightPlan,
+                  "cannot collect measurements over an empty flight"};
+  }
+  localize::MeasurementSet set;
+  set.reserve(flight.size());
+  const double sigma = system.estimate_noise_sigma();
+  const double drho = (config.tag.rho_on - config.tag.rho_off) / 2.0;
+  const double drho_db = amplitude_to_db(drho);
+  const double noise_dbm = watts_to_dbm(signal::thermal_noise_power(
+      2.0 * config.blf_hz, config.reader_noise_figure_db));
+  const cdouble hw = cis(config.relay_hardware_phase_rad);
+  const double rx_amp = db_to_amplitude(config.reader_rx_gain_dbi);
+  cdouble direct_term{0.0, 0.0};
+  if (config.include_direct_path) {
+    channel::LinkGains gains;
+    gains.rx_gain_dbi = config.tag.antenna_gain_dbi;
+    const cdouble hd = channel::point_to_point_channel(
+        system.environment(), system.reader_position(), tag_pos,
+        config.carrier_hz, gains);
+    direct_term = hd * hd * drho;
+  }
+  for (std::size_t i = 0; i < flight.size(); ++i) {
+    const auto& point = flight[i];
+    const cdouble h1{plane.h1_re[i], plane.h1_im[i]};
+    const double h1_abs_db = amplitude_to_db(std::abs(h1));
+    const double relay_tx_dbm = core::RflySystem::saturated_output_dbm(
+        config.reader_eirp_dbm + h1_abs_db, config.relay_downlink_gain_db,
+        config.relay_downlink_p1db_dbm);
+    const cdouble h2 = system.relay_tag_channel(point.actual, tag_pos);
+    const double h2_abs_db = amplitude_to_db(std::abs(h2));
+    const double incident_dbm = relay_tx_dbm + h2_abs_db;
+    if (incident_dbm < config.tag.sensitivity_dbm) {
+      continue;
+    }
+    const double backscatter_dbm = incident_dbm + drho_db + h2_abs_db;
+    const double relay_out_dbm = core::RflySystem::saturated_output_dbm(
+        backscatter_dbm, config.relay_uplink_gain_db, config.relay_uplink_max_out_dbm);
+    const double at_reader_dbm = relay_out_dbm + h1_abs_db + config.reader_rx_gain_dbi;
+    if (at_reader_dbm - noise_dbm < config.decode_snr_threshold_db) {
+      continue;
+    }
+    const double g_u = db_to_amplitude(core::RflySystem::saturated_gain_db(
+        backscatter_dbm, config.relay_uplink_gain_db, config.relay_uplink_max_out_dbm));
+    localize::RelayMeasurement m;
+    m.relay_position = point.reported;
+    cdouble h = h1 * h1 * plane.g_d_amp[i] * g_u * drho * h2 * h2 * hw * rx_amp;
+    if (config.include_direct_path) {
+      h += direct_term;
+    }
+    m.target_channel = h;
+    m.embedded_channel = plane.embedded[i];
+    if (config.amplitude_ripple_std_db > 0.0 || config.phase_ripple_std_rad > 0.0) {
+      m.target_channel *=
+          db_to_amplitude(rng.gaussian(0.0, config.amplitude_ripple_std_db)) *
+          cis(rng.gaussian(0.0, config.phase_ripple_std_rad));
+    }
+    if (sigma > 0.0) {
+      m.target_channel += cdouble{rng.gaussian(0.0, sigma / std::sqrt(2.0)),
+                                  rng.gaussian(0.0, sigma / std::sqrt(2.0))};
+      m.embedded_channel += cdouble{rng.gaussian(0.0, sigma / std::sqrt(2.0)),
+                                    rng.gaussian(0.0, sigma / std::sqrt(2.0))};
+    }
+    set.push_back(m);
+  }
+  if (set.empty()) {
+    return Status{StatusCode::kInsufficientData,
+                  "tag unpowered or undecodable at all " +
+                      std::to_string(flight.size()) + " flight points"};
+  }
+  return set;
+}
+
 /// The seed loop's skip conditions, verbatim — the reference for which
 /// points survive.
 bool point_survives(const core::RflySystem& system, const Vec3& actual,
@@ -146,6 +236,23 @@ std::size_t surviving_count(const Fixture& f, const Vec3& tag) {
 
 // --- Exact plane: bit-identity -------------------------------------------
 
+/// Noise- and ripple-free config: channel comparisons below are then pure
+/// synthesis, no stochastic term to swamp the tolerance.
+core::SystemConfig quiet_config() {
+  core::SystemConfig config;
+  config.channel_noise = false;
+  config.amplitude_ripple_std_db = 0.0;
+  config.phase_ripple_std_rad = 0.0;
+  return config;
+}
+
+void expect_channels_close(const cdouble& a, const cdouble& b,
+                           double rel = 1e-9) {
+  const double scale = std::max(std::abs(a), std::abs(b));
+  EXPECT_NEAR(a.real(), b.real(), rel * scale);
+  EXPECT_NEAR(a.imag(), b.imag(), rel * scale);
+}
+
 /// The config variants the direct parity checks sweep: defaults (ripple
 /// and noise on, direct path on), each stochastic gate closed, the direct
 /// path off, and everything quiet.
@@ -162,31 +269,42 @@ std::vector<core::SystemConfig> collect_config_variants() {
   return variants;
 }
 
-/// Collect `tag` three ways from identical rng seeds — the seed loop, the
-/// plane overload, the no-plane forward — and require identical results
-/// (bitwise values or identical status text) and identical rng positions
-/// after the call.
+/// Collect `tag` from identical rng seeds through the seed loop, the
+/// test-local exact plane collect and the production single-tag collect.
+/// The exact plane collect must match the seed loop bitwise; the
+/// production collect must keep the same readable points, status text and
+/// rng consumption, with channels equal to rounding.
 void expect_collect_matches_seed(const core::RflySystem& system,
                                  const std::vector<drone::FlownPoint>& flight,
                                  const core::ForwardPlane& plane, const Vec3& tag,
                                  std::uint64_t rng_seed) {
-  Rng seed_rng(rng_seed), plane_rng(rng_seed), forward_rng(rng_seed);
+  Rng seed_rng(rng_seed), plane_rng(rng_seed), production_rng(rng_seed);
   const auto reference = seed_collect(system, flight, tag, seed_rng);
-  const auto planed = system.collect_measurements(flight, tag, plane_rng, plane);
-  const auto forwarded = system.collect_measurements(flight, tag, forward_rng);
-  for (const auto* got : {&planed, &forwarded}) {
+  const auto planed = exact_plane_collect(system, flight, tag, plane_rng, plane);
+  const auto production = system.collect_measurements(flight, tag, production_rng);
+  for (const auto* got : {&planed, &production}) {
     ASSERT_EQ(got->ok(), reference.ok()) << got->status().to_string();
-    if (reference.ok()) {
-      EXPECT_TRUE(localize::bitwise_equal(reference.value(), got->value()));
-    } else {
+    if (!reference.ok()) {
       EXPECT_EQ(got->status().to_string(), reference.status().to_string());
+    }
+  }
+  if (reference.ok()) {
+    EXPECT_TRUE(localize::bitwise_equal(reference.value(), planed.value()));
+    const auto& want = reference.value();
+    const auto& got = production.value();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].relay_position.x, want[i].relay_position.x) << i;
+      EXPECT_EQ(got[i].relay_position.y, want[i].relay_position.y) << i;
+      expect_channels_close(got[i].target_channel, want[i].target_channel);
+      EXPECT_EQ(got[i].embedded_channel, want[i].embedded_channel) << i;
     }
   }
   // All three rngs consumed the exact same draw count: their streams stay
   // in lockstep past the call.
   const double next = seed_rng.gaussian();
   EXPECT_EQ(plane_rng.gaussian(), next);
-  EXPECT_EQ(forward_rng.gaussian(), next);
+  EXPECT_EQ(production_rng.gaussian(), next);
 }
 
 TEST(ExactPlane, CollectIsBitIdenticalToScalar) {
@@ -239,8 +357,8 @@ TEST(ExactPlane, HoistsMatchScalarMethodsBitwise) {
     EXPECT_EQ(plane.py[i], a.y);
     EXPECT_EQ(plane.pz[i], a.z);
     const cdouble h1 = f.system.reader_relay_channel(a);
-    EXPECT_EQ(plane.h1[i], h1) << i;
-    EXPECT_EQ(plane.h1_abs_db[i], amplitude_to_db(std::abs(h1))) << i;
+    EXPECT_EQ(plane.h1_re[i], h1.real()) << i;
+    EXPECT_EQ(plane.h1_im[i], h1.imag()) << i;
     EXPECT_EQ(plane.g_d_amp[i],
               db_to_amplitude(f.system.effective_downlink_gain_db(a)))
         << i;
@@ -269,15 +387,22 @@ TEST(DrawOrder, GoldenReplayReconstructsEveryMeasurement) {
   // (target re/im, embedded re/im); skipped points draw nothing. If the
   // implementation drew anything else — shadowing, draws on skipped points,
   // a different order — the streams would desynchronize and the bitwise
-  // comparison below would fail.
+  // comparison below would fail. The noise-free channels are the one-tag
+  // synthesis the collect consumes; its readable points must be exactly
+  // the scalar formulas' survivors.
   Rng replay(99);
   const double sigma = f.system.estimate_noise_sigma();
+  const auto plane = core::ForwardPlane::build(f.system, f.flight);
+  const auto synth = core::synthesize_forward_channels(f.system, plane, {tag});
   std::size_t idx = 0;
-  for (const auto& point : f.flight) {
-    if (!point_survives(f.system, point.actual, tag)) continue;
+  for (std::size_t w = 0; w < f.flight.size(); ++w) {
+    const auto& point = f.flight[w];
+    const bool survives = point_survives(f.system, point.actual, tag);
+    ASSERT_EQ(synth[0].readable[w] != 0, survives) << "waypoint " << w;
+    if (!survives) continue;
     localize::RelayMeasurement expected;
     expected.relay_position = point.reported;
-    expected.target_channel = f.system.measured_target_channel(point.actual, tag);
+    expected.target_channel = cdouble{synth[0].target_re[w], synth[0].target_im[w]};
     expected.embedded_channel = f.system.measured_embedded_channel(point.actual);
     expected.target_channel *=
         db_to_amplitude(replay.gaussian(0.0, cfg.amplitude_ripple_std_db)) *
@@ -337,23 +462,6 @@ TEST(DrawOrder, AllGatesClosedDrawsNothing) {
 
 // --- Forward kernels: fast synthesis and per-ISA agreement ---------------
 
-/// Noise- and ripple-free config: channel comparisons below are then pure
-/// synthesis, no stochastic term to swamp the tolerance.
-core::SystemConfig quiet_config() {
-  core::SystemConfig config;
-  config.channel_noise = false;
-  config.amplitude_ripple_std_db = 0.0;
-  config.phase_ripple_std_rad = 0.0;
-  return config;
-}
-
-void expect_channels_close(const cdouble& a, const cdouble& b,
-                           double rel = 1e-9) {
-  const double scale = std::max(std::abs(a), std::abs(b));
-  EXPECT_NEAR(a.real(), b.real(), rel * scale);
-  EXPECT_NEAR(a.imag(), b.imag(), rel * scale);
-}
-
 TEST(FastPlane, MatchesExactWithIdenticalReadableSets) {
   const auto f = make_fixture(6, quiet_config());
   const auto plane = core::ForwardPlane::build(f.system, f.flight);
@@ -361,13 +469,17 @@ TEST(FastPlane, MatchesExactWithIdenticalReadableSets) {
   ASSERT_EQ(synth.size(), f.tags.size());
 
   for (std::size_t t = 0; t < f.tags.size(); ++t) {
-    Rng ra(7), rb(7);
-    const auto exact =
-        f.system.collect_measurements(f.flight, f.tags[t], ra, plane);
+    Rng ra(7), rb(7), rc(7);
+    const auto exact = exact_plane_collect(f.system, f.flight, f.tags[t], ra, plane);
     const auto fast =
         f.system.collect_measurements(f.flight, rb, plane, synth[t]);
+    const auto single = f.system.collect_measurements(f.flight, f.tags[t], rc);
     ASSERT_TRUE(exact.ok()) << exact.status().to_string();
     ASSERT_TRUE(fast.ok()) << fast.status().to_string();
+    ASSERT_TRUE(single.ok()) << single.status().to_string();
+    // The single-tag collect synthesizes the tag alone: the same bits as
+    // its slice of the mission's multi-tag pass.
+    EXPECT_TRUE(localize::bitwise_equal(single.value(), fast.value())) << "tag " << t;
     // The linear-domain power checks are monotone transforms of the dBm
     // checks: same survivors.
     ASSERT_EQ(fast.value().size(), exact.value().size()) << "tag " << t;
@@ -442,7 +554,7 @@ TEST(ForwardPlaneCache, KeyCoversSystemConfig) {
   });
   EXPECT_NE(a.get(), b.get());
   EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_NE(a->relay_tx_dbm[0], b->relay_tx_dbm[0]);
+  EXPECT_NE(a->relay_tx_mw[0], b->relay_tx_mw[0]);
 }
 
 TEST(ForwardPlaneCache, ChannelEvalsCountOncePerBuild) {
@@ -465,59 +577,29 @@ TEST(ForwardPlaneCache, ChannelEvalsCountOncePerBuild) {
   EXPECT_EQ(builds.value() - builds_before, 1u);
 }
 
-// --- Scenario knob -------------------------------------------------------
+// --- Removed scenario key ------------------------------------------------
 
-TEST(MeasurePlaneKnob, NamesParseAndRejectRemovedModes) {
-  using core::MeasurePlane;
-  EXPECT_STREQ(core::measure_plane_name(MeasurePlane::kExact), "exact");
-  EXPECT_STREQ(core::measure_plane_name(MeasurePlane::kFast), "fast");
-
-  MeasurePlane mode = MeasurePlane::kExact;
-  EXPECT_TRUE(core::parse_measure_plane("fast", mode));
-  EXPECT_EQ(mode, MeasurePlane::kFast);
-  EXPECT_TRUE(core::parse_measure_plane("exact", mode));
-  EXPECT_EQ(mode, MeasurePlane::kExact);
-  // `off` (the seed's scalar loop) and `auto` (an alias of exact) are gone.
-  EXPECT_FALSE(core::parse_measure_plane("off", mode));
-  EXPECT_FALSE(core::parse_measure_plane("auto", mode));
-  EXPECT_FALSE(core::parse_measure_plane("Fast", mode));
-  EXPECT_FALSE(core::parse_measure_plane("", mode));
-  EXPECT_EQ(mode, MeasurePlane::kExact);  // failed parse leaves `out` alone
-}
-
-TEST(MeasurePlaneKnob, ScenarioRoundTripsAndOverrides) {
+TEST(MeasurePlaneKnob, RemovedKeyIsParseError) {
+  // Every mission synthesizes its channels with the SIMD forward kernels;
+  // `measure.plane`, with any value, is a typed parse error naming the key,
+  // both as an override (--set) and in scenario text.
   auto scenario = *sim::preset("building");
-  EXPECT_EQ(scenario.measure_plane, core::MeasurePlane::kExact);
-  EXPECT_NE(sim::serialize(scenario).find("measure.plane = exact"),
-            std::string::npos);
-  ASSERT_TRUE(
-      sim::apply_override(scenario, "measure.plane", "fast").is_ok());
-  EXPECT_EQ(scenario.measure_plane, core::MeasurePlane::kFast);
   const std::string text = sim::serialize(scenario);
-  EXPECT_NE(text.find("measure.plane = fast"), std::string::npos);
-  const auto parsed = sim::parse_scenario(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
-  EXPECT_EQ(parsed.value().measure_plane, core::MeasurePlane::kFast);
-
-  // Removed modes are typed parse errors naming the key, both as an
-  // override (--set) and in scenario text.
-  for (const char* removed : {"off", "auto", "bogus"}) {
-    const Status status = sim::apply_override(scenario, "measure.plane", removed);
-    EXPECT_EQ(status.code(), StatusCode::kParseError) << removed;
+  EXPECT_EQ(text.find("measure.plane"), std::string::npos) << text;
+  for (const char* value : {"exact", "fast", "off", "auto"}) {
+    const Status status = sim::apply_override(scenario, "measure.plane", value);
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << value;
     EXPECT_NE(status.to_string().find("measure.plane"), std::string::npos)
         << status.to_string();
-    std::string edited = text;
-    const std::string line = "measure.plane = fast";
-    edited.replace(edited.find(line), line.size(),
-                   std::string("measure.plane = ") + removed);
-    const auto rejected = sim::parse_scenario(edited);
-    ASSERT_FALSE(rejected.ok()) << removed;
-    EXPECT_EQ(rejected.status().code(), StatusCode::kParseError) << removed;
+    const auto rejected =
+        sim::parse_scenario(text + "measure.plane = " + value + "\n");
+    ASSERT_FALSE(rejected.ok()) << value;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kParseError) << value;
     EXPECT_NE(rejected.status().to_string().find("measure.plane"),
               std::string::npos)
         << rejected.status().to_string();
   }
-  EXPECT_EQ(scenario.measure_plane, core::MeasurePlane::kFast);
+  EXPECT_EQ(sim::serialize(scenario), text);
 }
 
 // --- Full-mission parity matrix ------------------------------------------
@@ -641,10 +723,9 @@ std::uint64_t seed_collect_digest(std::uint64_t seed, bool faults) {
 
 TEST_P(ExactPlaneMatrix, BitIdenticalToScalarCollect) {
   const MeasureMatrixCase c = GetParam();
-  sim::Scenario exact = matrix_scenario();
-  exact.measure_plane = core::MeasurePlane::kExact;
-  if (c.faults) exact.faults.dropout = 0.2;
-  const std::vector<sim::BatchJob> jobs{{exact, 11}, {exact, 12}, {exact, 11}};
+  sim::Scenario scenario = matrix_scenario();
+  if (c.faults) scenario.faults.dropout = 0.2;
+  const std::vector<sim::BatchJob> jobs{{scenario, 11}, {scenario, 12}, {scenario, 11}};
 
   clear_measure_caches();
   const auto results = sim::run_batch(jobs, {c.threads, c.mode});
@@ -688,7 +769,7 @@ TEST(ExactPlaneMatrix, WarmCacheIsBitIdenticalAndDeterministic) {
   expect_results_identical(cold, warm);
 
   // Per-mission mode reports plane stats too (the pipeline always uses the
-  // plane cache when the knob is on).
+  // plane cache).
   clear_measure_caches();
   sim::BatchRunInfo per_mission_info;
   const auto per_mission =
@@ -704,31 +785,30 @@ TEST(ExactPlaneMatrix, WarmCacheIsBitIdenticalAndDeterministic) {
 }
 
 TEST(FastPlaneMission, TracksExactReportClosely) {
-  // Fast mode is not bit-identical, but on a real mission it must agree on
-  // the discovery/localization outcome and land estimates within a small
-  // fraction of the grid resolution.
-  sim::Scenario exact = matrix_scenario();
-  exact.measure_plane = core::MeasurePlane::kExact;
-  sim::Scenario fast = matrix_scenario();
-  fast.measure_plane = core::MeasurePlane::kFast;
-
+  // A mission localizes with the SIMD SAR kernel over SIMD-synthesized
+  // channels. Re-localizing each of its deferred localize tasks with the
+  // exact libm kernel must land on the same lattice point.
+  const sim::Scenario scenario = matrix_scenario();
+  const sim::MissionInputs inputs = sim::materialize(scenario);
+  std::vector<sim::DeferredLocalize> tasks;
   clear_measure_caches();
-  const auto a = sim::run_scenario(exact, 11);
-  clear_measure_caches();
-  const auto b = sim::run_scenario(fast, 11);
-  ASSERT_TRUE(a.ok()) << a.status().to_string();
-  ASSERT_TRUE(b.ok()) << b.status().to_string();
-  const auto& ra = a.value().report;
-  const auto& rb = b.value().report;
-  EXPECT_EQ(ra.discovered, rb.discovered);
-  EXPECT_EQ(ra.localized, rb.localized);
-  ASSERT_EQ(ra.items.size(), rb.items.size());
-  for (std::size_t i = 0; i < ra.items.size(); ++i) {
-    EXPECT_EQ(ra.items[i].localized, rb.items[i].localized) << "item " << i;
-    EXPECT_EQ(ra.items[i].measurements, rb.items[i].measurements) << "item " << i;
-    if (!ra.items[i].localized) continue;
-    EXPECT_NEAR(ra.items[i].estimate.x, rb.items[i].estimate.x, 0.2) << "item " << i;
-    EXPECT_NEAR(ra.items[i].estimate.y, rb.items[i].estimate.y, 0.2) << "item " << i;
+  const auto run = sim::run_mission_pipeline(
+      inputs.config, inputs.environment, inputs.reader_position, inputs.plan,
+      inputs.tags, inputs.db, 11, {}, &tasks);
+  ASSERT_TRUE(run.ok()) << run.status().to_string();
+  ASSERT_FALSE(tasks.empty());
+  for (const auto& task : tasks) {
+    ASSERT_EQ(task.config.kernel, localize::SarKernel::kFast);
+    localize::LocalizerConfig exact_config = task.config;
+    exact_config.kernel = localize::SarKernel::kExact;
+    const auto fast = localize::localize_2d_from(task.half_link, task.config);
+    const auto exact = localize::localize_2d_from(task.half_link, exact_config);
+    ASSERT_EQ(fast.ok(), exact.ok()) << "tag " << task.tag_index;
+    if (!exact.ok()) continue;
+    EXPECT_EQ(fast->x, exact->x) << "tag " << task.tag_index;
+    EXPECT_EQ(fast->y, exact->y) << "tag " << task.tag_index;
+    EXPECT_NEAR(fast->peak_value, exact->peak_value, 1e-9 * exact->peak_value)
+        << "tag " << task.tag_index;
   }
 }
 

@@ -182,7 +182,10 @@ TEST(ObsTrace, CrossThreadSpansCarryThreadIds) {
 }
 
 std::uint64_t histogram_count(const std::string& name) {
-  const auto* h = find_histogram(obs::snapshot(), name);
+  // find_histogram points into the snapshot, so the snapshot must outlive
+  // the read.
+  const obs::MetricsSnapshot snapshot = obs::snapshot();
+  const auto* h = find_histogram(snapshot, name);
   return h != nullptr ? h->count : 0;
 }
 

@@ -300,7 +300,7 @@ TEST(KernelKnob, AutoIsRejected) {
   EXPECT_EQ(parsed, SarKernel::kFast);  // a failed parse leaves `out` alone
 
   // Scenario text and --set overrides both reject it with a typed error
-  // naming the key.
+  // naming the key (the key itself is gone; see ScenarioKeyIsRemoved).
   auto scenario = sim::preset("building");
   ASSERT_TRUE(scenario.ok());
   const Status override_status =
@@ -310,11 +310,8 @@ TEST(KernelKnob, AutoIsRejected) {
             std::string::npos)
       << override_status.to_string();
 
-  std::string text = sim::serialize(*scenario);
-  const std::string line = "localize.sar_kernel = exact";
-  const auto at = text.find(line);
-  ASSERT_NE(at, std::string::npos);
-  text.replace(at, line.size(), "localize.sar_kernel = auto");
+  const std::string text =
+      sim::serialize(*scenario) + "localize.sar_kernel = auto\n";
   const auto parsed_text = sim::parse_scenario(text);
   ASSERT_FALSE(parsed_text.ok());
   EXPECT_EQ(parsed_text.status().code(), StatusCode::kParseError);
@@ -323,28 +320,36 @@ TEST(KernelKnob, AutoIsRejected) {
       << parsed_text.status().to_string();
 }
 
-TEST(KernelKnob, ScenarioFieldRoundTrips) {
+TEST(KernelKnob, ScenarioKeyIsRemoved) {
+  // Missions always run the SIMD kernels: the scenario format carries no
+  // kernel or plane key, and every localizer default is the fast kernel.
   auto scenario = sim::preset("warehouse");
   ASSERT_TRUE(scenario.ok());
-  EXPECT_EQ(scenario->sar_kernel, SarKernel::kExact);  // goldens stay exact
-  scenario->sar_kernel = SarKernel::kFast;
   const std::string text = sim::serialize(*scenario);
-  EXPECT_NE(text.find("localize.sar_kernel = fast"), std::string::npos);
+  EXPECT_EQ(text.find("sar_kernel"), std::string::npos) << text;
+  EXPECT_EQ(text.find("measure.plane"), std::string::npos) << text;
   const auto reparsed = sim::parse_scenario(text);
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().to_string();
-  EXPECT_EQ(reparsed->sar_kernel, SarKernel::kFast);
   EXPECT_EQ(sim::serialize(*reparsed), text);
-  // The mission config inherits the knob.
-  EXPECT_EQ(sim::mission_config(*reparsed).sar_kernel, SarKernel::kFast);
+  EXPECT_EQ(LocalizerConfig{}.kernel, SarKernel::kFast);
+  EXPECT_EQ(Localize3dConfig{}.kernel, SarKernel::kFast);
 }
 
-TEST(KernelKnob, ScenarioOverrideParses) {
+TEST(KernelKnob, OverrideOfRemovedKeyIsParseError) {
   auto scenario = sim::preset("building");
   ASSERT_TRUE(scenario.ok());
-  ASSERT_TRUE(sim::apply_override(*scenario, "localize.sar_kernel", "fast").is_ok());
-  EXPECT_EQ(scenario->sar_kernel, SarKernel::kFast);
-  EXPECT_FALSE(
-      sim::apply_override(*scenario, "localize.sar_kernel", "bogus").is_ok());
+  const std::string before = sim::serialize(*scenario);
+  for (const char* key : {"localize.sar_kernel", "measure.plane"}) {
+    for (const char* value : {"exact", "fast", "bogus"}) {
+      const Status status = sim::apply_override(*scenario, key, value);
+      EXPECT_EQ(status.code(), StatusCode::kParseError) << key << "=" << value;
+      EXPECT_NE(status.to_string().find(key), std::string::npos)
+          << status.to_string();
+      EXPECT_NE(status.to_string().find("was removed"), std::string::npos)
+          << status.to_string();
+    }
+  }
+  EXPECT_EQ(sim::serialize(*scenario), before);  // nothing was applied
 }
 
 }  // namespace

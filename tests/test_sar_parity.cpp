@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "drone/trajectory.h"
 #include "localize/localizer.h"
 #include "localize/peak.h"
 #include "localize/sar.h"
+#include "obs/metrics.h"
 
 namespace rfly::localize {
 namespace {
@@ -143,6 +146,30 @@ TEST_P(SarParity, Localize3dPicksIdenticalPeak) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SarParity, ::testing::Range(1, 6));
+
+// A per-tag mission heatmap (1525 cells x 40 measurements) is below
+// kMinParallelWork: it runs inline and never wakes a pool worker, at any
+// thread count. A heatmap above the bound still fans out.
+TEST(SarParallelGate, SmallHeatmapRunsInlineLargeOneUsesThePool) {
+  if (!obs::kEnabled) GTEST_SKIP() << "obs layer compiled out";
+  const auto set = random_set(700, 40);
+  obs::Counter& jobs = obs::counter("pool.jobs");
+
+  const GridSpec small{-1.5, 4.5, -0.5, 1.9, 0.1};
+  ASSERT_LT(small.nx() * small.ny() * set.channels.size(), kMinParallelWork);
+  const std::uint64_t before_small = jobs.value();
+  const Heatmap inline_map = sar_heatmap(set, small, kFreq, 0.0, /*threads=*/2);
+  EXPECT_EQ(jobs.value(), before_small);
+  const Heatmap serial_small = sar_heatmap(set, small, kFreq, 0.0, /*threads=*/1);
+  EXPECT_EQ(inline_map.values, serial_small.values);
+
+  if (std::thread::hardware_concurrency() < 2) return;  // no workers to wake
+  const GridSpec large{-1.5, 3.5, -0.5, 2.5, 0.04};
+  ASSERT_GE(large.nx() * large.ny() * set.channels.size(), kMinParallelWork);
+  const std::uint64_t before_large = jobs.value();
+  (void)sar_heatmap(set, large, kFreq, 0.0, /*threads=*/2);
+  EXPECT_EQ(jobs.value(), before_large + 1);
+}
 
 // Threads x kernel parity matrix: the sharding argument (each cell's sum
 // runs whole, in a fixed order, into its own slot) is kernel-independent,

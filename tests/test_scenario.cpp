@@ -152,7 +152,7 @@ TEST(Scenario, ParseRejectsBadValue) {
 }
 
 // A repeated scalar key used to silently keep the last value — a typo'd
-// sweep file ("localize.sar_kernel" set twice) ran the wrong mission with
+// sweep file ("localize.search" set twice) ran the wrong mission with
 // no warning. Now it is a parse error naming both lines. Repeatable keys
 // (leg/tag) stay repeatable — the preset round-trip above proves that.
 TEST(Scenario, ParseRejectsDuplicateScalarKey) {

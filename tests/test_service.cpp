@@ -443,22 +443,20 @@ TEST(MissionServiceTest, RemovedKernelAndPlaneModesAreTypedParseErrors) {
   auto client = Client::connect(daemon.port());
   ASSERT_TRUE(client.ok());
 
+  // The kernel and plane keys are gone, whatever their value: a SUBMIT
+  // naming one is a typed parse error naming the key.
   const std::string text = sim::serialize(quick_scenario());
-  const std::pair<const char*, const char*> removed[] = {
-      {"measure.plane = exact", "measure.plane = off"},
-      {"measure.plane = exact", "measure.plane = auto"},
-      {"localize.sar_kernel = exact", "localize.sar_kernel = auto"},
-  };
-  for (const auto& [line, replacement] : removed) {
-    std::string edited = text;
-    const auto at = edited.find(line);
-    ASSERT_NE(at, std::string::npos) << line;
-    edited.replace(at, std::string(line).size(), replacement);
-    auto ack = client->submit(edited, 1);
-    ASSERT_FALSE(ack.ok()) << replacement;
-    EXPECT_EQ(ack.status().code(), StatusCode::kParseError) << replacement;
+  for (const char* line :
+       {"localize.sar_kernel = exact", "localize.sar_kernel = fast",
+        "localize.sar_kernel = auto", "measure.plane = exact",
+        "measure.plane = fast", "measure.plane = off"}) {
+    auto ack = client->submit(text + line + "\n", 1);
+    ASSERT_FALSE(ack.ok()) << line;
+    EXPECT_EQ(ack.status().code(), StatusCode::kParseError) << line;
     const std::string key = std::string(line).substr(0, std::string(line).find(' '));
     EXPECT_NE(ack.status().to_string().find(key), std::string::npos)
+        << ack.status().to_string();
+    EXPECT_NE(ack.status().to_string().find("was removed"), std::string::npos)
         << ack.status().to_string();
   }
   EXPECT_EQ(daemon.stats().submitted, 0u);
@@ -501,11 +499,13 @@ TEST(MissionServiceTest, BackpressureIsTypedRejectionWithRetryHint) {
   daemon.wait();
 }
 
-/// Slow mission for occupancy tests: fine grid + exact kernel keeps one
-/// worker busy long enough to observe queue states deterministically.
+/// Slow mission for occupancy tests: the warehouse preset with serial SAR
+/// and live estimates keeps one worker busy long enough to observe queue
+/// states deterministically.
 sim::Scenario slow_scenario() {
   auto scenario = *sim::preset("warehouse");
-  scenario.sar_kernel = localize::SarKernel::kExact;
+  scenario.localize_threads = 1;
+  scenario.sar_search = localize::SarSearch::kIncremental;
   return scenario;
 }
 
@@ -690,6 +690,79 @@ TEST(MissionServiceTest, NoDrainShutdownCancelsQueuedJobs) {
   daemon.wait();
   EXPECT_EQ(daemon.stats().cancelled, 1u);
   EXPECT_EQ(daemon.stats().completed, 1u);
+}
+
+TEST(MissionServiceTest, FinishedJobsBeyondTheRetentionBoundAreEvicted) {
+  ServiceConfig config;
+  config.workers = 1;
+  MissionService daemon(config);
+  ASSERT_TRUE(daemon.start().is_ok());
+  auto client = Client::connect(daemon.port());
+  ASSERT_TRUE(client.ok());
+  const std::string quick = sim::serialize(quick_scenario());
+
+  // The oldest finished job: simulated once, which also fills the cache.
+  auto oldest = client->submit(quick, 5);
+  ASSERT_TRUE(oldest.ok()) << oldest.status().to_string();
+  ASSERT_TRUE(client->result(oldest->job_id, /*wait=*/true).ok());
+
+  // A running and a queued job, both issued before the flood below. The
+  // running mission flies eight times the preset's waypoints, so it
+  // outlasts the flood (well under its run time) by a wide margin.
+  sim::Scenario long_mission = slow_scenario();
+  for (auto& leg : long_mission.legs) leg.points *= 8;
+  auto running = client->submit(sim::serialize(long_mission), 1);
+  ASSERT_TRUE(running.ok()) << running.status().to_string();
+  ASSERT_TRUE(wait_for_stats(daemon,
+                             [](const ServiceStats& s) { return s.in_flight == 1; }));
+  auto queued = client->submit(quick, 6);
+  ASSERT_TRUE(queued.ok()) << queued.status().to_string();
+
+  // Cache hits finish at SUBMIT: exactly the retention bound of them makes
+  // the first job one finished job too many.
+  std::uint64_t newest = 0;
+  for (std::size_t i = 0; i < MissionService::kFinishedJobRetention; ++i) {
+    auto ack = client->submit(quick, 5);
+    ASSERT_TRUE(ack.ok()) << ack.status().to_string();
+    ASSERT_TRUE(ack->cached);
+    newest = ack->job_id;
+  }
+
+  // STATUS, RESULT and CANCEL for the evicted id: kNotFound, saying so.
+  auto status = client->status(oldest->job_id);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(status.status().to_string().find("evicted"), std::string::npos)
+      << status.status().to_string();
+  for (bool wait : {false, true}) {
+    auto result = client->result(oldest->job_id, wait);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
+    EXPECT_NE(result.status().to_string().find("evicted"), std::string::npos)
+        << result.status().to_string();
+  }
+  auto cancel = client->cancel(oldest->job_id);
+  ASSERT_FALSE(cancel.ok());
+  EXPECT_EQ(cancel.status().code(), StatusCode::kNotFound);
+
+  // A never-issued id is unknown, not evicted.
+  auto unknown = client->status(newest + 1000);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(unknown.status().to_string().find("evicted"), std::string::npos)
+      << unknown.status().to_string();
+
+  // Older ids that were running or queued during the flood are kept, and
+  // so is the newest finished job.
+  EXPECT_TRUE(client->status(running->job_id).ok());
+  EXPECT_TRUE(client->status(queued->job_id).ok());
+  auto queued_result = client->result(queued->job_id, /*wait=*/true);
+  ASSERT_TRUE(queued_result.ok()) << queued_result.status().to_string();
+  EXPECT_TRUE(client->result(running->job_id, /*wait=*/true).ok());
+  EXPECT_TRUE(client->result(newest, /*wait=*/false).ok());
+
+  client->shutdown();
+  daemon.wait();
 }
 
 // --- Raw-socket protocol violations ----------------------------------------

@@ -162,6 +162,16 @@ TEST(ThreadPool, ClampThreadCountPinsToHardware) {
   }
 }
 
+TEST(ThreadPool, ThreadsForWorkRunsSmallJobsInline) {
+  EXPECT_EQ(threads_for_work(2, 0), 1u);
+  EXPECT_EQ(threads_for_work(2, kMinParallelWork - 1), 1u);
+  EXPECT_EQ(threads_for_work(2, kMinParallelWork), 2u);
+  // The "use the hardware" sentinel passes through for large jobs.
+  EXPECT_EQ(threads_for_work(0, kMinParallelWork), 0u);
+  EXPECT_EQ(threads_for_work(0, kMinParallelWork - 1), 1u);
+  EXPECT_EQ(threads_for_work(1, 10 * kMinParallelWork), 1u);
+}
+
 TEST(ThreadPool, NestedParallelForRunsSerially) {
   ThreadPool pool(4);
   std::atomic<int> inner_calls{0};
